@@ -7,7 +7,11 @@ namespace grit::harness {
 RunResult
 runWorkload(const SystemConfig &config, const workload::Workload &workload)
 {
-    Simulator simulator(config, workload);
+    // The simulator lives only for this call, so a non-owning handle
+    // (aliasing an empty owner) spares copying the traces.
+    Simulator simulator(config,
+                        workload::streamWorkload(workload::WorkloadHandle(
+                            workload::WorkloadHandle(), &workload)));
     return simulator.run();
 }
 
@@ -17,8 +21,7 @@ runApp(workload::AppId app, const SystemConfig &config,
 {
     workload::WorkloadParams p = params;
     p.numGpus = config.numGpus;
-    const workload::Workload w = workload::makeWorkload(app, p);
-    return runWorkload(config, w);
+    return runWorkload(config, workload::makeWorkload(app, p));
 }
 
 double

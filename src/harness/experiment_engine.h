@@ -7,9 +7,11 @@
  * into the same ResultMatrix the serial harness produced. Each Simulator
  * is a self-contained deterministic island (own EventQueue, own stats),
  * so cells parallelize perfectly: results are bit-identical to a serial
- * run regardless of thread count. Identical traces are generated once
- * per sweep through a workload::TraceCache and shared read-only across
- * cells and threads.
+ * run regardless of thread count. Every cell replays streamed traces:
+ * app-generated cells through the shared workload::TraceCache, whose
+ * chunks are generated once per sweep and shared read-only across
+ * cells and threads; prebuilt workloads through
+ * workload::streamWorkload.
  *
  * Worker count: Options::jobs if nonzero, else the GRIT_JOBS
  * environment variable, else std::thread::hardware_concurrency().
@@ -38,7 +40,7 @@ struct RunCell
     std::string row;    //!< ResultMatrix row (app abbreviation, model, ...)
     std::string label;  //!< ResultMatrix column (configuration label)
     SystemConfig config;
-    /** Prebuilt trace; when null, generated from (app, params). */
+    /** Prebuilt workload; when null, streamed from (app, params). */
     workload::WorkloadHandle workload;
     workload::AppId app = workload::AppId::kBfs;
     workload::WorkloadParams params;
@@ -155,43 +157,22 @@ class ExperimentEngine
     {
         /** Worker threads; 0 = auto (GRIT_JOBS env, else all cores). */
         unsigned jobs = 0;
-        /** Share identical traces across cells via the TraceCache. */
-        bool shareTraces = true;
         /**
          * Trace-cache byte budget; 0 = take it from the
          * GRIT_TRACE_CACHE_BYTES environment variable (absent or
          * invalid = unbounded).
          */
         std::uint64_t traceCacheBytes = 0;
-        /**
-         * Replay app-generated cells from bounded-memory chunk streams
-         * (TraceCache::openWorkload) instead of materialized traces.
-         * Results are bit-identical; peak memory stops scaling with
-         * footprint (docs/PERFORMANCE.md, "Scaling footprints").
-         * Streaming is the DEFAULT: setting the GRIT_STREAM_TRACES
-         * environment variable to "0" opts a process back into
-         * materialized replay, and true here forces streaming even
-         * then. Cells carrying a prebuilt workload handle always run
-         * materialized.
-         */
-        bool streamTraces = false;
-        /**
-         * Accesses per streamed chunk; 0 = the GRIT_TRACE_CHUNK
-         * environment variable, else 65536.
-         */
-        std::uint64_t traceChunkAccesses = 0;
     };
 
-    ExperimentEngine()
-    {
-        applyCacheBudget();
-        applyStreaming();
-    }
-    explicit ExperimentEngine(const Options &options) : options_(options)
-    {
-        applyCacheBudget();
-        applyStreaming();
-    }
+    ExperimentEngine() : ExperimentEngine(Options{}) {}
+
+    /**
+     * Streamed chunks hold the GRIT_TRACE_CHUNK environment variable's
+     * accesses each, else workload::kDefaultChunkAccesses. Results do
+     * not depend on it.
+     */
+    explicit ExperimentEngine(const Options &options);
 
     /**
      * Execute every cell of @p plan and fold the results into a
@@ -224,16 +205,9 @@ class ExperimentEngine
     const workload::TraceCache &traceCache() const { return cache_; }
 
   private:
-    /** Resolve Options::traceCacheBytes (env fallback) into the cache. */
-    void applyCacheBudget();
-
-    /** Resolve the streaming options (env fallbacks) into members. */
-    void applyStreaming();
-
     Options options_;
     workload::TraceCache cache_;
-    bool streamTraces_ = false;
-    std::uint64_t chunkAccesses_ = 0;
+    std::uint64_t chunkAccesses_ = workload::kDefaultChunkAccesses;
 };
 
 }  // namespace grit::harness

@@ -17,15 +17,6 @@ mix(std::uint64_t h, std::uint64_t v)
 
 }  // namespace
 
-std::uint64_t
-workloadBytes(const Workload &workload)
-{
-    std::uint64_t bytes = sizeof(Workload);
-    for (const GpuTrace &trace : workload.traces)
-        bytes += trace.capacity() * sizeof(Access);
-    return bytes;
-}
-
 std::size_t
 TraceCache::KeyHash::operator()(const Key &key) const
 {
@@ -40,146 +31,95 @@ TraceCache::KeyHash::operator()(const Key &key) const
 std::size_t
 TraceCache::ChunkKeyHash::operator()(const ChunkKey &key) const
 {
-    std::uint64_t h = static_cast<std::uint64_t>(key.app);
-    h = mix(h, key.params.numGpus);
-    h = mix(h, key.params.footprintDivisor);
-    h = mix(h, key.params.seed);
-    h = mix(h, std::bit_cast<std::uint64_t>(key.params.intensity));
+    std::uint64_t h = KeyHash{}(key.trace);
     h = mix(h, key.gpu);
     h = mix(h, key.chunkAccesses);
     h = mix(h, key.chunk);
     return static_cast<std::size_t>(h);
 }
 
-WorkloadHandle
-TraceCache::get(AppId app, const WorkloadParams &params)
+ChunkHandle
+TraceCache::fetch(const ChunkKey &key,
+                  const std::function<ChunkHandle()> &generate)
 {
-    const Key key{app, params};
-    std::promise<WorkloadHandle> promise;
-    std::shared_future<WorkloadHandle> slot;
-    bool generate = false;
+    std::promise<ChunkHandle> promise;
+    std::shared_future<ChunkHandle> slot;
+    bool generating = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(key);
-        if (it == map_.end()) {
-            slot = promise.get_future().share();
-            Entry entry;
-            entry.slot = slot;
-            entry.lastUse = ++tick_;
-            map_.emplace(key, std::move(entry));
-            generate = true;
-        } else {
-            slot = it->second.slot;
-            it->second.lastUse = ++tick_;
+        auto [it, inserted] = chunks_.try_emplace(key);
+        if (inserted) {
+            it->second.slot = promise.get_future().share();
+            generating = true;
         }
+        it->second.lastUse = ++tick_;
+        slot = it->second.slot;
+    }
+    if (!generating) {
+        hits_.fetch_add(1);
+        return slot.get();  // waits while the chunk is in flight
     }
 
-    if (generate) {
-        misses_.fetch_add(1);
-        try {
-            auto handle = std::make_shared<const Workload>(
-                makeWorkload(app, params));
-            promise.set_value(handle);
+    misses_.fetch_add(1);
+    ChunkHandle chunk;
+    try {
+        chunk = generate();
+    } catch (...) {
+        // Don't cache the failure: drop the slot so a later request
+        // retries, and propagate to everyone waiting on this one.
+        {
             std::lock_guard<std::mutex> lock(mu_);
-            // The entry may already be gone (clear() raced us); only
-            // account for it while it is actually cached.
-            auto it = map_.find(key);
-            if (it != map_.end() && !it->second.ready) {
-                it->second.bytes = workloadBytes(*handle);
+            auto it = chunks_.find(key);
+            if (it != chunks_.end() && !it->second.ready)
+                chunks_.erase(it);
+        }
+        promise.set_exception(std::current_exception());
+        throw;
+    }
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        // The slot may already be gone (clear() raced us); only account
+        // for it while it is actually cached.
+        auto it = chunks_.find(key);
+        if (it != chunks_.end() && !it->second.ready) {
+            if (chunk == nullptr) {
+                chunks_.erase(it);  // past the stream's end: cache nothing
+            } else {
+                it->second.bytes = chunkBytes(*chunk);
                 it->second.ready = true;
                 totalBytes_ += it->second.bytes;
-                evictLocked(&key, nullptr);
+                evictLocked(&key);
             }
-        } catch (...) {
-            // Don't cache the failure: drop the slot so a later call can
-            // retry, and propagate to everyone waiting on this one.
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                map_.erase(key);
-            }
-            promise.set_exception(std::current_exception());
         }
-    } else {
-        hits_.fetch_add(1);
     }
-    return slot.get();
+    promise.set_value(chunk);
+    return chunk;
 }
 
 void
-TraceCache::evictLocked(const Key *protect, const ChunkKey *protect_chunk)
+TraceCache::evictLocked(const ChunkKey *protect)
 {
     while (byteBudget_ != 0 && totalBytes_ > byteBudget_) {
-        auto victim = map_.end();
-        for (auto it = map_.begin(); it != map_.end(); ++it) {
+        auto victim = chunks_.end();
+        for (auto it = chunks_.begin(); it != chunks_.end(); ++it) {
             if (!it->second.ready ||
                 (protect != nullptr && it->first == *protect))
                 continue;
-            if (victim == map_.end() ||
+            if (victim == chunks_.end() ||
                 it->second.lastUse < victim->second.lastUse)
                 victim = it;
         }
-        auto chunk_victim = chunks_.end();
-        for (auto it = chunks_.begin(); it != chunks_.end(); ++it) {
-            if (protect_chunk != nullptr && it->first == *protect_chunk)
-                continue;
-            if (chunk_victim == chunks_.end() ||
-                it->second.lastUse < chunk_victim->second.lastUse)
-                chunk_victim = it;
-        }
-        // One LRU clock across both pools: evict whichever candidate
-        // is globally least recently used.
-        const bool have_trace = victim != map_.end();
-        const bool have_chunk = chunk_victim != chunks_.end();
-        if (!have_trace && !have_chunk)
+        if (victim == chunks_.end())
             break;  // nothing evictable (in-flight or protected only)
-        if (have_trace &&
-            (!have_chunk ||
-             victim->second.lastUse < chunk_victim->second.lastUse)) {
-            totalBytes_ -= victim->second.bytes;
-            evictions_.fetch_add(1);
-            map_.erase(victim);
-        } else {
-            totalBytes_ -= chunk_victim->second.bytes;
-            evictions_.fetch_add(1);
-            chunks_.erase(chunk_victim);
-        }
+        totalBytes_ -= victim->second.bytes;
+        evictions_.fetch_add(1);
+        chunks_.erase(victim);
     }
-}
-
-ChunkHandle
-TraceCache::chunkLookup(const ChunkKey &key)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = chunks_.find(key);
-    if (it == chunks_.end()) {
-        misses_.fetch_add(1);
-        return nullptr;
-    }
-    it->second.lastUse = ++tick_;
-    hits_.fetch_add(1);
-    return it->second.chunk;
-}
-
-void
-TraceCache::chunkInsert(const ChunkKey &key, const ChunkHandle &chunk)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = chunks_.try_emplace(key);
-    if (!inserted) {
-        it->second.lastUse = ++tick_;  // raced another consumer
-        return;
-    }
-    it->second.chunk = chunk;
-    it->second.bytes = chunkBytes(*chunk);
-    it->second.lastUse = ++tick_;
-    totalBytes_ += it->second.bytes;
-    evictLocked(nullptr, &key);
 }
 
 std::vector<std::uint64_t>
-TraceCache::accessCounts(AppId app, const WorkloadParams &params)
+TraceCache::accessCounts(const Key &key)
 {
-    const Key key{app, params};
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = counts_.find(key);
@@ -188,26 +128,25 @@ TraceCache::accessCounts(AppId app, const WorkloadParams &params)
     }
     // Counting pass outside the lock: cheap (RNG + arithmetic, no
     // storage) and deterministic, so a racing duplicate is harmless.
-    CountingSink sink(params.numGpus);
-    generateTrace(app, params, sink);
+    CountingSink sink(key.params.numGpus);
+    generateTrace(key.app, key.params, sink);
     std::lock_guard<std::mutex> lock(mu_);
     return counts_.try_emplace(key, sink.counts()).first->second;
 }
 
 /**
- * The consumer-side stream handed out by openStream(): consult the
- * shared chunk LRU first; on a miss, align a private generator stream
- * to the requested boundary, pull the chunk, and publish it for other
- * consumers.
+ * The consumer-side stream handed out by openStream(): fetch each chunk
+ * from the shared pool; when this stream is the one to generate it,
+ * align a private generator stream to the requested boundary and pull
+ * the chunk from there.
  */
 class TraceCache::CachedStream : public TraceStream
 {
   public:
-    CachedStream(TraceCache &cache, AppId app, WorkloadParams params,
-                 unsigned gpu, std::uint64_t chunk_accesses)
+    CachedStream(TraceCache &cache, const Key &trace, unsigned gpu,
+                 std::uint64_t chunk_accesses)
         : cache_(cache),
-          app_(app),
-          params_(params),
+          trace_(trace),
           gpu_(gpu),
           chunkAccesses_(chunk_accesses)
     {
@@ -216,15 +155,11 @@ class TraceCache::CachedStream : public TraceStream
     ChunkHandle
     next() override
     {
-        const ChunkKey key{app_, params_, gpu_, chunkAccesses_, pos_};
-        ChunkHandle chunk = cache_.chunkLookup(key);
-        if (chunk == nullptr) {
-            chunk = pullFromSource(pos_);
-            if (chunk == nullptr)
-                return nullptr;
-            cache_.chunkInsert(key, chunk);
-        }
-        ++pos_;
+        ChunkHandle chunk =
+            cache_.fetch(ChunkKey{trace_, gpu_, chunkAccesses_, pos_},
+                         [this] { return pullFromSource(pos_); });
+        if (chunk != nullptr)
+            ++pos_;
         return chunk;
     }
 
@@ -237,17 +172,16 @@ class TraceCache::CachedStream : public TraceStream
     pullFromSource(std::uint64_t chunk)
     {
         if (source_ == nullptr || sourcePos_ > chunk) {
-            const AppId app = app_;
-            const WorkloadParams params = params_;
+            const Key trace = trace_;
             source_ = std::make_unique<GeneratedTraceStream>(
-                [app, params](TraceSink &sink) {
-                    generateTrace(app, params, sink);
+                [trace](TraceSink &sink) {
+                    generateTrace(trace.app, trace.params, sink);
                 },
                 gpu_, chunkAccesses_, /*max_buffered=*/4,
                 /*first_chunk=*/chunk);
             sourcePos_ = chunk;
         } else if (sourcePos_ < chunk) {
-            // The gap was served from the cache; fast-forward the
+            // The gap was served from the pool; fast-forward the
             // generator (forward seek discards, never regenerates).
             source_->seek(chunk);
             sourcePos_ = chunk;
@@ -259,8 +193,7 @@ class TraceCache::CachedStream : public TraceStream
     }
 
     TraceCache &cache_;
-    AppId app_;
-    WorkloadParams params_;
+    Key trace_;
     unsigned gpu_;
     std::uint64_t chunkAccesses_;
     std::uint64_t pos_ = 0;        //!< next chunk to yield
@@ -272,7 +205,7 @@ std::unique_ptr<TraceStream>
 TraceCache::openStream(AppId app, const WorkloadParams &params,
                        unsigned gpu, std::uint64_t chunk_accesses)
 {
-    return std::make_unique<CachedStream>(*this, app, params, gpu,
+    return std::make_unique<CachedStream>(*this, Key{app, params}, gpu,
                                           chunk_accesses);
 }
 
@@ -282,7 +215,7 @@ TraceCache::openWorkload(AppId app, const WorkloadParams &params,
 {
     StreamedWorkload sw;
     sw.meta = workloadShell(app, params);
-    sw.accesses = accessCounts(app, params);
+    sw.accesses = accessCounts(Key{app, params});
     sw.streams.reserve(params.numGpus);
     for (unsigned g = 0; g < params.numGpus; ++g)
         sw.streams.push_back(openStream(app, params, g, chunk_accesses));
@@ -294,8 +227,7 @@ TraceCache::setByteBudget(std::uint64_t bytes)
 {
     std::lock_guard<std::mutex> lock(mu_);
     byteBudget_ = bytes;
-    if (byteBudget_ != 0 && totalBytes_ > byteBudget_)
-        evictLocked(nullptr, nullptr);  // shrink immediately, protect nothing
+    evictLocked(nullptr);  // shrink immediately, protect nothing
 }
 
 std::uint64_t
@@ -316,14 +248,13 @@ std::size_t
 TraceCache::size() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
+    return chunks_.size();
 }
 
 void
 TraceCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
     chunks_.clear();
     counts_.clear();
     totalBytes_ = 0;

@@ -142,23 +142,29 @@ class TraceStream
     virtual std::uint64_t chunkAccesses() const = 0;
 };
 
+/** Shared, immutable prebuilt workload (DNN models, custom traces). */
+using WorkloadHandle = std::shared_ptr<const Workload>;
+
+/** Accesses per chunk when no size is configured (1 MiB of accesses). */
+inline constexpr std::uint64_t kDefaultChunkAccesses = 65536;
+
 /**
- * Chunked view over an already-materialized workload (tests, and the
- * bridge between cached whole traces and stream consumers). Holds a
- * shared_ptr so the trace outlives cache eviction.
+ * Chunked view over an already-materialized workload: how prebuilt
+ * traces enter the simulator (streamWorkload). Keeps the workload
+ * alive through its handle while the stream exists.
  */
 class MaterializedTraceStream : public TraceStream
 {
   public:
-    MaterializedTraceStream(std::shared_ptr<const Workload> workload,
-                            unsigned gpu, std::uint64_t chunk_accesses);
+    MaterializedTraceStream(WorkloadHandle workload, unsigned gpu,
+                            std::uint64_t chunk_accesses);
 
     ChunkHandle next() override;
     void seek(std::uint64_t chunk) override { nextChunk_ = chunk; }
     std::uint64_t chunkAccesses() const override { return chunkAccesses_; }
 
   private:
-    std::shared_ptr<const Workload> workload_;
+    WorkloadHandle workload_;
     const GpuTrace *trace_;
     std::uint64_t chunkAccesses_;
     std::uint64_t nextChunk_ = 0;
@@ -215,11 +221,9 @@ class GeneratedTraceStream : public TraceStream
 };
 
 /**
- * A workload delivered as streams instead of materialized traces: the
- * metadata shell (traces empty), one TraceStream per GPU, and the
- * exact per-GPU access counts (from a counting pass) that the
- * simulator needs to seed lanes and derive event limits identically
- * to the materialized path.
+ * A workload as the simulator consumes it: the metadata shell (traces
+ * empty), one TraceStream per GPU, and the exact per-GPU access counts
+ * the simulator needs to seed lanes and derive event limits.
  */
 struct StreamedWorkload
 {
@@ -236,6 +240,16 @@ struct StreamedWorkload
         return n;
     }
 };
+
+/**
+ * Stream a prebuilt workload: the metadata shell, one
+ * MaterializedTraceStream per GPU sharing ownership of @p workload,
+ * and its per-GPU trace sizes. Replays exactly the accesses of
+ * @p workload's traces, at any chunk size.
+ */
+StreamedWorkload streamWorkload(
+    WorkloadHandle workload,
+    std::uint64_t chunk_accesses = kDefaultChunkAccesses);
 
 }  // namespace grit::workload
 

@@ -14,7 +14,7 @@ set(ENV{GRIT_FOOTPRINT_DIVISOR} 128)
 set(ENV{GRIT_INTENSITY} 0.2)
 
 # Optional extra NAME=VALUE environment settings (CMake list), used by
-# the streaming variants to prove GRIT_STREAM_TRACES=1 replays produce
+# the *_streamed variants to prove a small trace chunk size produces
 # byte-identical JSON.
 if(DEFINED EXTRA_ENV)
     foreach(kv IN LISTS EXTRA_ENV)

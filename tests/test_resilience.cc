@@ -738,8 +738,9 @@ TEST(ResilientSweep, WallDeadlineTripsAsDeadlineError)
     // simulator surfaces it as a structured kDeadline, never an abort.
     SystemConfig config = makeConfig(PolicyKind::kOnTouch, 4);
     config.wallDeadlineSec = 1e-9;
-    Simulator sim(config, workload::makeWorkload(workload::AppId::kGemm,
-                                                 fastParams()));
+    const auto w = std::make_shared<const workload::Workload>(
+        workload::makeWorkload(workload::AppId::kGemm, fastParams()));
+    Simulator sim(config, workload::streamWorkload(w));
     try {
         sim.run();
         FAIL() << "expected SimException";
@@ -747,9 +748,7 @@ TEST(ResilientSweep, WallDeadlineTripsAsDeadlineError)
         EXPECT_EQ(e.code(), sim::ErrorCode::kDeadline);
     }
 
-    Simulator salvage(config,
-                      workload::makeWorkload(workload::AppId::kGemm,
-                                             fastParams()));
+    Simulator salvage(config, workload::streamWorkload(w));
     const RunResult partial = salvage.run(/*salvage_partial=*/true);
     EXPECT_TRUE(partial.partial);
     ASSERT_TRUE(partial.error.has_value());
@@ -799,46 +798,66 @@ TEST(ResilientSweep, InterruptedCellIsNeverJournaled)
 
 // ------------------------------------------------------------ trace cache
 
+/** Chunk 0 of @p gpu's GEMM trace under @p params, through @p cache. */
+workload::ChunkHandle
+gemmChunk(workload::TraceCache &cache, const workload::WorkloadParams &params,
+          unsigned gpu = 0)
+{
+    return cache.openStream(workload::AppId::kGemm, params, gpu, 256)
+        ->next();
+}
+
 TEST(TraceCacheBudget, EvictsLruBeyondByteBudget)
 {
     workload::TraceCache cache;
-    workload::WorkloadParams a = fastParams();
-    workload::WorkloadParams b = fastParams();
-    b.intensity = 0.5;  // distinct key, distinct trace
+    const workload::WorkloadParams params = fastParams();
 
-    const auto wa = cache.get(workload::AppId::kGemm, a);
-    const std::uint64_t bytesA = workload::workloadBytes(*wa);
-    ASSERT_GT(bytesA, 0u);
-    EXPECT_EQ(cache.bytes(), bytesA);
+    // Full chunks of one size all cost the same bytes.
+    const auto c0 = gemmChunk(cache, params, 0);
+    ASSERT_NE(c0, nullptr);
+    const std::uint64_t chunk = workload::chunkBytes(*c0);
+    ASSERT_GT(chunk, 0u);
+    EXPECT_EQ(cache.bytes(), chunk);
 
-    // Budget only fits one trace: inserting the second evicts the LRU
-    // first one, but the outstanding handle stays valid.
-    cache.setByteBudget(bytesA + 1);
-    EXPECT_EQ(cache.byteBudget(), bytesA + 1);
-    const auto wb = cache.get(workload::AppId::kGemm, b);
+    // Budget fits two chunks. Touching c0 makes c1 the LRU one, so
+    // inserting c2 evicts c1 — while every outstanding handle stays
+    // valid.
+    cache.setByteBudget(2 * chunk + 1);
+    EXPECT_EQ(cache.byteBudget(), 2 * chunk + 1);
+    const auto c1 = gemmChunk(cache, params, 1);
+    ASSERT_NE(c1, nullptr);
+    gemmChunk(cache, params, 0);  // hit: c0 becomes most recent
+    const auto c2 = gemmChunk(cache, params, 2);
+    ASSERT_NE(c2, nullptr);
     EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.bytes(), workload::workloadBytes(*wb));
-    EXPECT_FALSE(wa->traces.empty());  // handle survives eviction
-
-    // Re-requesting the evicted trace regenerates it deterministically.
-    const auto wa2 = cache.get(workload::AppId::kGemm, a);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.bytes(), 2 * chunk);
+    EXPECT_FALSE(c1->accesses.empty());  // handle survives eviction
     EXPECT_EQ(cache.misses(), 3u);
-    ASSERT_EQ(wa->traces.size(), wa2->traces.size());
-    for (std::size_t g = 0; g < wa->traces.size(); ++g)
-        EXPECT_EQ(wa->traces[g].size(), wa2->traces[g].size());
+    EXPECT_EQ(cache.hits(), 1u);
+
+    // c0 survived; the evicted c1 regenerates deterministically.
+    gemmChunk(cache, params, 0);
+    EXPECT_EQ(cache.hits(), 2u);
+    const auto again = gemmChunk(cache, params, 1);
+    EXPECT_EQ(cache.misses(), 4u);
+    ASSERT_EQ(again->accesses.size(), c1->accesses.size());
+    for (std::size_t i = 0; i < c1->accesses.size(); ++i) {
+        EXPECT_EQ(again->accesses[i].addr, c1->accesses[i].addr);
+        EXPECT_EQ(again->accesses[i].write, c1->accesses[i].write);
+    }
 }
 
 TEST(TraceCacheBudget, OversizedSingleTraceStillCaches)
 {
     workload::TraceCache cache;
-    cache.setByteBudget(1);  // smaller than any trace
-    const auto w = cache.get(workload::AppId::kSt, fastParams());
-    ASSERT_NE(w, nullptr);
-    // The being-inserted entry is protected from its own insertion...
+    cache.setByteBudget(1);  // smaller than any chunk
+    const auto c = gemmChunk(cache, fastParams());
+    ASSERT_NE(c, nullptr);
+    // The being-inserted chunk is protected from its own insertion...
     EXPECT_EQ(cache.size(), 1u);
     // ...and a hit still serves it.
-    cache.get(workload::AppId::kSt, fastParams());
+    EXPECT_EQ(gemmChunk(cache, fastParams()).get(), c.get());
     EXPECT_EQ(cache.hits(), 1u);
 }
 
@@ -846,7 +865,7 @@ TEST(TraceCacheBudget, UnboundedByDefaultAndClearResets)
 {
     workload::TraceCache cache;
     EXPECT_EQ(cache.byteBudget(), 0u);
-    cache.get(workload::AppId::kGemm, fastParams());
+    gemmChunk(cache, fastParams());
     EXPECT_GT(cache.bytes(), 0u);
     cache.clear();
     EXPECT_EQ(cache.bytes(), 0u);

@@ -1,13 +1,16 @@
 /** @file Tests for streaming trace generation (workload/trace_stream.h):
  *  chunked streams must reproduce materialized traces byte for byte at
  *  any chunk size, replay deterministically from any chunk boundary,
- *  stay bounded under the chunk LRU's byte budget, and drive the
- *  simulator to bit-identical results — with access batching on or
- *  off. */
+ *  stay bounded under the chunk pool's byte budget, generate each chunk
+ *  once however many consumers race for it, and drive the simulator to
+ *  bit-identical results — with access batching on or off. */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "harness/config.h"
@@ -211,6 +214,53 @@ TEST(TraceCacheStreaming, TinyBudgetEvictsWithoutChangingResults)
     expectSameTrace(drain(*sw.streams[0]), w.traces[0]);
 }
 
+TEST(TraceCacheStreaming, ConcurrentMissesGenerateOnce)
+{
+    // N consumers pull the same chunk at once: the first to miss
+    // generates it, the rest wait on its in-flight slot and share it.
+    // Chunk 0 spans the whole trace, so generation is slow enough for
+    // every thread to arrive while it is in flight.
+    constexpr unsigned kThreads = 8;
+    const WorkloadParams params = smallParams();
+    TraceCache cache;
+    std::vector<ChunkHandle> got(kThreads);
+    std::latch start(kThreads);
+    {
+        std::vector<std::jthread> threads;
+        for (unsigned t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                auto stream =
+                    cache.openStream(AppId::kGemm, params, 0, 1u << 20);
+                start.arrive_and_wait();
+                got[t] = stream->next();
+            });
+        }
+    }
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), kThreads - 1);
+    EXPECT_EQ(cache.size(), 1u);
+    const Workload w = makeWorkload(AppId::kGemm, params);
+    for (unsigned t = 0; t < kThreads; ++t) {
+        ASSERT_NE(got[t], nullptr) << "thread " << t;
+        expectSameTrace(got[t]->accesses, w.traces[0]);
+    }
+}
+
+TEST(TraceCacheStreaming, ShortGenerationIsNotCached)
+{
+    // A chunk past the stream's end resolves to nullptr and leaves no
+    // slot behind.
+    TraceCache cache;
+    auto stream = cache.openStream(AppId::kFir, smallParams(), 0, 1u << 20);
+    stream->seek(1);
+    EXPECT_EQ(stream->next(), nullptr);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.bytes(), 0u);
+    stream->seek(0);
+    EXPECT_NE(stream->next(), nullptr);
+    EXPECT_EQ(cache.size(), 1u);
+}
+
 // ------------------------------------------------ streamed simulation
 
 /** Fields that must agree for two runs to count as identical. */
@@ -235,11 +285,12 @@ expectSameResult(const harness::RunResult &a, const harness::RunResult &b)
 TEST(StreamedSimulator, BitIdenticalToMaterialized)
 {
     const WorkloadParams params = smallParams();
-    const Workload w = makeWorkload(AppId::kBfs, params);
     harness::SystemConfig config;
     config.numGpus = params.numGpus;
 
-    harness::Simulator materialized(config, w);
+    harness::Simulator materialized(
+        config, streamWorkload(std::make_shared<const Workload>(
+                    makeWorkload(AppId::kBfs, params))));
     const harness::RunResult ref = materialized.run();
 
     TraceCache cache;
@@ -251,17 +302,18 @@ TEST(StreamedSimulator, BitIdenticalToMaterialized)
 TEST(StreamedSimulator, BatchingTogglesWithoutChangingResults)
 {
     const WorkloadParams params = smallParams();
-    const Workload w = makeWorkload(AppId::kGemm, params);
+    const WorkloadHandle w =
+        std::make_shared<const Workload>(makeWorkload(AppId::kGemm, params));
     harness::SystemConfig config;
     config.numGpus = params.numGpus;
 
     config.batchAccesses = false;
-    harness::Simulator plain(config, w);
+    harness::Simulator plain(config, streamWorkload(w));
     const harness::RunResult ref = plain.run();
     EXPECT_EQ(ref.accessesBatched, 0u);
 
     config.batchAccesses = true;
-    harness::Simulator batched(config, w);
+    harness::Simulator batched(config, streamWorkload(w));
     const harness::RunResult result = batched.run();
     expectSameResult(result, ref);
     // Batching must actually engage (the drain tail alone guarantees
