@@ -142,19 +142,28 @@ Cli::parse(int argc, char **argv)
             const std::string name =
                 eq == std::string::npos ? token : token.substr(0, eq);
             const Flag *flag = findFlag(name);
+            std::string value;
+            bool attached = eq != std::string::npos;
+            if (attached) {
+                value = token.substr(eq + 1);
+            } else if (flag == nullptr && token[1] != '-') {
+                // A short alias with its value attached: -j4.
+                flag = findFlag(token.substr(0, 2));
+                if (flag != nullptr && flag->kind == Kind::kBool)
+                    flag = nullptr;
+                value = token.substr(2);
+                attached = true;
+            }
             if (flag == nullptr)
                 badArgument(program_, "unknown flag \"" + name + "\"");
             if (flag->kind == Kind::kBool) {
-                if (eq != std::string::npos)
+                if (attached)
                     badArgument(program_,
                                 flag->name + " takes no value");
                 *static_cast<bool *>(flag->out) = true;
                 continue;
             }
-            std::string value;
-            if (eq != std::string::npos) {
-                value = token.substr(eq + 1);
-            } else {
+            if (!attached) {
                 if (i + 1 >= argc)
                     badArgument(program_, flag->name + " needs a " +
                                               flag->valueName +

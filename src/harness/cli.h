@@ -6,7 +6,7 @@
  * bool) and positional arguments against variables they own; parse()
  * fills them in place. The registry generates `--help` output from the
  * registrations, accepts both `--flag VALUE` and `--flag=VALUE`
- * spellings plus short aliases (`-j`), and reports unknown flags,
+ * spellings plus short aliases (`-j 4`, `-j4`), and reports unknown flags,
  * missing values, and malformed numbers as structured kBadArgument
  * SimExceptions — which guardedMain turns into the exit-code-2 usage
  * contract. This replaces the old ad-hoc argv scanning, where a typo'd

@@ -19,6 +19,9 @@ RunResult
 runApp(workload::AppId app, const SystemConfig &config,
        const workload::WorkloadParams &params)
 {
+    // Validate before generating: a broken config must fail as
+    // config-invalid, not inside the trace generator it parameterizes.
+    sim::throwIfInvalid(config.validate(), "SystemConfig");
     workload::WorkloadParams p = params;
     p.numGpus = config.numGpus;
     return runWorkload(config, workload::makeWorkload(app, p));

@@ -1,8 +1,12 @@
 #include "harness/run_journal.h"
 
 #include <bit>
+#include <cerrno>
+#include <cstring>
+#include <fstream>
 #include <sstream>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "simcore/log.h"
@@ -63,6 +67,35 @@ hex64(std::uint64_t v)
 journalFail(const std::string &message, const std::string &context = {})
 {
     throw sim::SimException(sim::ErrorCode::kJournal, message, context);
+}
+
+/** journalFail naming the failed call's errno. */
+[[noreturn]] void
+ioFail(const std::string &what, const std::string &context, int err = errno)
+{
+    journalFail(what + ": " + std::strerror(err), context);
+}
+
+/** A header field as text: quoted string or integer. @throws otherwise. */
+std::string
+scalarText(const stats::JsonValue &v)
+{
+    return v.isString() ? '"' + v.asString() + '"'
+                        : std::to_string(v.asUint64());
+}
+
+/** fsync the directory holding @p path so a rename is durable. */
+void
+fsyncParentDir(const std::string &path)
+{
+    const std::size_t slash = path.rfind('/');
+    const std::string dir =
+        slash == std::string::npos ? "." : path.substr(0, slash + 1);
+    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (fd < 0)
+        return;  // best-effort: some filesystems refuse dir fsync
+    ::fsync(fd);
+    ::close(fd);
 }
 
 }  // namespace
@@ -411,141 +444,164 @@ journalEntryFromLine(const std::string &line)
     }
 }
 
+RecordLog::~RecordLog()
+{
+    close();
+}
+
 void
-RunJournal::open(const std::string &path, const std::string &generator,
-                 bool resume)
+RecordLog::open(const std::string &path, const std::string &header)
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (fd_ >= 0)
+        ::close(fd_);
     path_ = path;
+    header_ = header;
+    scrub_ = {};
+    duplicates_ = 0;
     entries_.clear();
     index_.clear();
-    scrub_ = {};
-    if (resume)
-        loadExisting(generator);
 
-    // The writing stream is ALWAYS append-mode: O_APPEND places every
-    // physical write at end-of-file, so two handles on the same path
-    // (a resumed sweep racing a straggler worker) interleave at line
-    // granularity instead of overwriting each other through stale
-    // stream positions. A fresh (non-resume) open truncates first,
-    // through a throwaway stream.
-    const bool fresh = !resume || entries_.empty();
-    if (fresh)
-        std::ofstream(path, std::ios::out | std::ios::trunc);
-    out_.open(path, std::ios::out | std::ios::app);
-    if (!out_)
-        journalFail("cannot open journal for writing", path);
-    if (fresh) {
-        std::ostringstream os;
-        stats::JsonWriter w(os);
-        w.beginObject();
-        w.key("schema").value(kSchemaName);
-        w.key("version").value(std::uint64_t{kSchemaVersion});
-        w.key("generator").value(generator);
-        w.endObject();
-        out_ << os.str() << '\n';
-        out_.flush();
+    // O_APPEND places every write at end-of-file, so two handles on
+    // one path interleave whole records instead of overwriting each
+    // other through stale offsets.
+    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    if (fd_ < 0)
+        ioFail("cannot open record log", path);
+    try {
+        scrubLocked();
+    } catch (...) {
+        ::close(fd_);
+        fd_ = -1;
+        throw;
     }
 }
 
 void
-RunJournal::loadExisting(const std::string &generator)
+RecordLog::scrubLocked()
 {
     RecordReader reader(path_);
     if (!reader.isOpen())
-        return;  // nothing to resume from; open() writes a fresh file
+        journalFail("cannot scan record log", path_);
     std::string line;
-    if (!reader.next(line) || line.empty())
-        return;  // empty or headerless file: treat as fresh
-    try {
-        const stats::JsonValue header = stats::JsonValue::parse(line);
-        if (header.at("schema").asString() != kSchemaName)
-            journalFail("not a run journal (schema mismatch)", path_);
-        if (header.at("version").asUint64() != kSchemaVersion)
-            journalFail("unsupported journal version " +
-                            std::to_string(
-                                header.at("version").asUint64()),
-                        path_);
-        if (header.at("generator").asString() != generator)
-            journalFail("journal belongs to generator '" +
-                            header.at("generator").asString() +
-                            "', not '" + generator + "'",
-                        path_);
-    } catch (const std::runtime_error &e) {
-        if (dynamic_cast<const sim::SimException *>(&e))
-            throw;
-        journalFail(std::string("malformed journal header: ") + e.what(),
-                    path_);
+    if (!reader.next(line)) {
+        // New or empty file, or one torn before its header was whole:
+        // start it over.
+        if (reader.tornTail())
+            ++scrub_.truncated;
+        if (::ftruncate(fd_, 0) != 0)
+            ioFail("cannot reset record log", path_);
+        writeLocked(header_ + "\n");
+        return;
     }
+
+    // The header stays plain JSON, identifiable by eye. One that does
+    // not parse means the file's identity cannot be trusted: refuse it
+    // rather than guess, and leave its records on disk.
+    std::string mismatch;
+    try {
+        const stats::JsonValue have = stats::JsonValue::parse(line);
+        const stats::JsonValue expected = stats::JsonValue::parse(header_);
+        for (const auto &[key, want] : expected.asObject()) {
+            const std::string got = scalarText(have.at(key));
+            if (got != scalarText(want)) {
+                mismatch = "header field '" + key + "' is " + got +
+                           ", expected " + scalarText(want);
+                break;
+            }
+        }
+    } catch (const std::runtime_error &e) {
+        throw sim::SimException(
+            sim::ErrorCode::kStoreCorrupt,
+            std::string("header failed integrity validation: ") +
+                e.what(),
+            path_);
+    }
+    if (!mismatch.empty())
+        journalFail(mismatch, path_);
 
     QuarantineSidecar quarantine(path_);
     while (reader.next(line)) {
         if (line.empty())
             continue;
         ++scrub_.scanned;
-        // Scrub: a corrupt record (failed frame/CRC, or unparseable
-        // legacy JSON) is quarantined and *skipped* — every intact
-        // record after it is still replayed. Only the unterminated
-        // tail below is truncated.
+        // A record that fails its frame/CRC, or, unframed, its JSON,
+        // is quarantined and skipped; every intact record after it is
+        // still indexed. Only the unterminated tail below is cut.
         const UnframedRecord record = unframeRecord(line);
         std::string reason = record.reason;
-        bool ok = false;
-        JournalEntry entry;
+        std::optional<JournalEntry> entry;
         if (record.kind != RecordKind::kCorrupt) {
             try {
-                entry = journalEntryFromLine(
-                    std::string(record.payload));
-                ok = true;
+                entry = journalEntryFromLine(std::string(record.payload));
             } catch (const sim::SimException &e) {
                 reason = e.error().message;
             }
         }
-        if (!ok) {
+        if (!entry) {
             ++scrub_.quarantined;
             quarantine.add(line);
             GRIT_LOG(sim::LogLevel::kWarn,
-                     "journal " + path_ + ": quarantined record " +
+                     "record log " + path_ + ": quarantined record " +
                          std::to_string(scrub_.scanned) + " (" + reason +
                          ") -> " + quarantine.path());
             continue;
         }
         ++scrub_.valid;
-        auto owned = std::make_unique<JournalEntry>(std::move(entry));
-        index_[owned->fingerprint] = owned.get();
-        entries_.push_back(std::move(owned));
+        if (index_.count(entry->fingerprint) != 0) {
+            ++duplicates_;
+            continue;
+        }
+        const JournalEntry &kept = entries_.emplace_back(std::move(*entry));
+        index_.emplace(kept.fingerprint, &kept);
     }
 
-    // Truncate an unterminated torn tail (crash mid-append) before
-    // open() reattaches the append stream — otherwise the next append
-    // would concatenate onto the torn bytes and corrupt itself too.
-    if (reader.tornTail() && !entries_.empty()) {
+    // Cut an unterminated torn tail (crash mid-append) so the next
+    // append starts on a clean line instead of concatenating onto it.
+    if (reader.tornTail()) {
         ++scrub_.truncated;
         GRIT_LOG(sim::LogLevel::kWarn,
-                 "journal " + path_ + ": truncating torn tail at byte " +
+                 "record log " + path_ + ": truncating torn tail at byte " +
                      std::to_string(reader.terminatedBytes()));
-        if (::truncate(path_.c_str(),
-                       static_cast<off_t>(reader.terminatedBytes())) !=
-            0)
-            journalFail("cannot truncate torn journal tail", path_);
+        if (::ftruncate(fd_, static_cast<off_t>(
+                                 reader.terminatedBytes())) != 0)
+            ioFail("cannot truncate torn tail", path_);
     }
+}
+
+void
+RecordLog::writeLocked(const std::string &bytes)
+{
+    if (::write(fd_, bytes.data(), bytes.size()) !=
+        static_cast<ssize_t>(bytes.size()))
+        ioFail("record log append failed", path_);
+    if (::fsync(fd_) != 0)
+        ioFail("record log fsync failed", path_);
+}
+
+bool
+RecordLog::isOpen() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return fd_ >= 0;
 }
 
 std::size_t
-RunJournal::size() const
+RecordLog::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
+    return index_.size();
 }
 
 ScrubStats
-RunJournal::scrubStats() const
+RecordLog::scrubStats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return scrub_;
 }
 
 const JournalEntry *
-RunJournal::find(const std::string &fingerprint) const
+RecordLog::find(const std::string &fingerprint) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(fingerprint);
@@ -553,21 +609,95 @@ RunJournal::find(const std::string &fingerprint) const
 }
 
 void
-RunJournal::append(const JournalEntry &entry)
+RecordLog::append(const JournalEntry &entry)
 {
-    std::string line = frameRecord(journalLine(entry));
-    line.push_back('\n');
+    const std::string line = frameRecord(journalLine(entry)) + "\n";
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!out_.is_open())
-        journalFail("append to a journal that was never opened", path_);
-    // One write + flush per record: under the append-mode stream the
-    // whole line lands at end-of-file in a single physical append, so
-    // concurrent writers interleave records, never bytes.
-    out_.write(line.data(), static_cast<std::streamsize>(line.size()));
-    out_.flush();
-    auto owned = std::make_unique<JournalEntry>(entry);
-    index_[owned->fingerprint] = owned.get();
-    entries_.push_back(std::move(owned));
+    if (fd_ < 0)
+        journalFail("append to a record log that was never opened", path_);
+    if (index_.count(entry.fingerprint) != 0)
+        return;
+    writeLocked(line);
+    const JournalEntry &kept = entries_.emplace_back(entry);
+    index_.emplace(kept.fingerprint, &kept);
+}
+
+RecordLog::CompactionStats
+RecordLog::compact()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (fd_ < 0)
+        journalFail("compact a record log that was never opened", path_);
+
+    // entries_ already holds exactly the first-wins survivors in
+    // append order: quarantined lines were never indexed and later
+    // duplicates only counted. Nothing in memory changes until the
+    // rename lands, so a failed compaction (ENOSPC, EPERM, ...) leaves
+    // the live log fully usable.
+    CompactionStats stats;
+    stats.kept = entries_.size();
+    stats.duplicatesDropped = duplicates_;
+    stats.recordsIn = stats.kept + stats.duplicatesDropped;
+
+    const std::string tempPath = path_ + ".compact";
+    const int tmp = ::open(tempPath.c_str(),
+                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (tmp < 0)
+        ioFail("cannot create compaction temp", tempPath);
+    std::string image = header_ + "\n";
+    for (const JournalEntry &entry : entries_)
+        image += frameRecord(journalLine(entry)) + "\n";
+    const bool written =
+        ::write(tmp, image.data(), image.size()) ==
+            static_cast<ssize_t>(image.size()) &&
+        ::fsync(tmp) == 0;
+    const int writeErr = errno;  // before close(), which may clobber it
+    ::close(tmp);
+    if (!written) {
+        ::unlink(tempPath.c_str());
+        ioFail("compaction write failed", tempPath, writeErr);
+    }
+    // Atomic cutover: readers and restarts see either the old complete
+    // file or the new complete file, never a half-rewritten one.
+    if (::rename(tempPath.c_str(), path_.c_str()) != 0) {
+        const int err = errno;
+        ::unlink(tempPath.c_str());
+        ioFail("compaction rename failed", path_, err);
+    }
+    fsyncParentDir(path_);
+    duplicates_ = 0;
+
+    ::close(fd_);
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    if (fd_ < 0)
+        ioFail("cannot reopen compacted record log", path_);
+    return stats;
+}
+
+void
+RecordLog::close()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (fd_ >= 0) {
+        ::close(fd_);
+        fd_ = -1;
+    }
+}
+
+void
+RunJournal::open(const std::string &path, const std::string &generator,
+                 bool resume)
+{
+    if (!resume)
+        std::ofstream(path, std::ios::out | std::ios::trunc);
+    std::ostringstream header;
+    stats::JsonWriter w(header);
+    w.beginObject();
+    w.key("schema").value(kSchemaName);
+    w.key("version").value(std::uint64_t{kSchemaVersion});
+    w.key("generator").value(generator);
+    w.endObject();
+    RecordLog::open(path, header.str());
 }
 
 }  // namespace grit::harness

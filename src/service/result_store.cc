@@ -1,347 +1,31 @@
 #include "service/result_store.h"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <sstream>
-#include <unordered_set>
-#include <utility>
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include "simcore/log.h"
-#include "stats/json_value.h"
 #include "stats/json_writer.h"
 
 namespace grit::service {
 
-namespace {
-
-[[noreturn]] void
-storeFail(const std::string &message, const std::string &context = {},
-          sim::ErrorCode code = sim::ErrorCode::kJournal)
-{
-    throw sim::SimException(code, message, context);
-}
-
-std::string
-headerLine()
-{
-    std::ostringstream os;
-    stats::JsonWriter w(os);
-    w.beginObject();
-    w.key("schema").value(ResultStore::kSchemaName);
-    w.key("version").value(std::uint64_t{ResultStore::kSchemaVersion});
-    w.endObject();
-    return os.str();
-}
-
-/** fsync the directory holding @p path so a rename is durable. */
-void
-fsyncParentDir(const std::string &path)
-{
-    const std::size_t slash = path.rfind('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : path.substr(0, slash + 1);
-    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (fd < 0)
-        return;  // best-effort: some filesystems refuse dir fsync
-    ::fsync(fd);
-    ::close(fd);
-}
-
-}  // namespace
-
-ResultStore::~ResultStore()
-{
-    close();
-}
-
-bool
-ResultStore::isOpen() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return fd_ >= 0;
-}
-
-std::size_t
-ResultStore::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return index_.size();
-}
-
-harness::ScrubStats
-ResultStore::scrubStats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return scrub_;
-}
-
-const harness::JournalEntry *
-ResultStore::find(const std::string &fingerprint) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = index_.find(fingerprint);
-    return it == index_.end() ? nullptr : it->second;
-}
-
 void
 ResultStore::open(const std::string &path)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    path_ = path;
-    entries_.clear();
-    index_.clear();
-    scrub_ = {};
-
-    fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-    if (fd_ < 0)
-        storeFail(std::string("cannot open result store: ") +
-                      std::strerror(errno),
-                  path);
-    loadLocked();
-}
-
-void
-ResultStore::loadLocked()
-{
-    harness::RecordReader reader(path_);
-    if (!reader.isOpen())
-        storeFail("cannot scan result store", path_);
-    harness::QuarantineSidecar quarantine(path_);
-    std::string line;
-    bool sawHeader = false;
-
-    while (reader.next(line)) {
-        if (!sawHeader) {
-            // The header stays a plain JSON line (schema-identifiable
-            // by eye and by older readers). A damaged header means we
-            // cannot even trust the file's identity: refuse loudly
-            // with store-corrupt instead of guessing.
-            try {
-                const stats::JsonValue header =
-                    stats::JsonValue::parse(line);
-                if (header.at("schema").asString() != kSchemaName)
-                    storeFail("not a result store (schema mismatch)",
-                              path_);
-                if (header.at("version").asUint64() != kSchemaVersion)
-                    storeFail(
-                        "unsupported result-store version " +
-                            std::to_string(
-                                header.at("version").asUint64()),
-                        path_);
-            } catch (const std::runtime_error &e) {
-                if (dynamic_cast<const sim::SimException *>(&e))
-                    throw;
-                storeFail(std::string("store header failed integrity "
-                                      "validation: ") +
-                              e.what(),
-                          path_, sim::ErrorCode::kStoreCorrupt);
-            }
-            sawHeader = true;
-            continue;
-        }
-        if (line.empty())
-            continue;
-        ++scrub_.scanned;
-
-        // Scrub: a record that fails its frame/CRC — or, for legacy
-        // unframed records, its JSON — is quarantined and *skipped*,
-        // keeping every intact record after it. Truncation is reserved
-        // for the unterminated tail below.
-        const harness::UnframedRecord record =
-            harness::unframeRecord(line);
-        std::string reason = record.reason;
-        harness::JournalEntry entry;
-        bool ok = false;
-        if (record.kind != harness::RecordKind::kCorrupt) {
-            try {
-                entry = harness::journalEntryFromLine(
-                    std::string(record.payload));
-                ok = true;
-            } catch (const sim::SimException &e) {
-                reason = e.error().message;
-            }
-        }
-        if (!ok) {
-            ++scrub_.quarantined;
-            quarantine.add(line);
-            GRIT_LOG(sim::LogLevel::kWarn,
-                     "result store " + path_ + ": quarantined record " +
-                         std::to_string(scrub_.scanned) + " (" + reason +
-                         ") -> " + quarantine.path());
-            continue;
-        }
-        ++scrub_.valid;
-        auto owned = std::make_unique<harness::JournalEntry>(
-            std::move(entry));
-        index_[owned->fingerprint] = owned.get();
-        entries_.push_back(std::move(owned));
-    }
-
-    if (!sawHeader) {
-        // Fresh (or torn-before-header) file: start it over.
-        if (reader.tornTail())
-            ++scrub_.truncated;
-        if (::ftruncate(fd_, 0) != 0)
-            storeFail(std::string("cannot reset result store: ") +
-                          std::strerror(errno),
-                      path_);
-        const std::string header = headerLine() + "\n";
-        if (::write(fd_, header.data(), header.size()) !=
-                static_cast<ssize_t>(header.size()) ||
-            ::fsync(fd_) != 0)
-            storeFail(std::string("cannot write store header: ") +
-                          std::strerror(errno),
-                      path_);
-        return;
-    }
-
-    // Truncate away an unterminated torn tail (crash mid-append) so
-    // the next append starts on a clean line boundary instead of
-    // concatenating onto torn bytes.
-    if (reader.tornTail()) {
-        ++scrub_.truncated;
-        if (::ftruncate(fd_, static_cast<off_t>(
-                                 reader.terminatedBytes())) != 0)
-            storeFail(std::string("cannot truncate torn tail: ") +
-                          std::strerror(errno),
-                      path_);
-    }
+    std::ostringstream header;
+    stats::JsonWriter w(header);
+    w.beginObject();
+    w.key("schema").value(kSchemaName);
+    w.key("version").value(std::uint64_t{kSchemaVersion});
+    w.endObject();
+    RecordLog::open(path, header.str());
 }
 
 void
 ResultStore::put(const harness::JournalEntry &entry)
 {
-    if (entry.status != "ok" || !entry.hasResult ||
-        entry.result.partial)
-        storeFail("only complete 'ok' results may be stored",
-                  entry.row + "/" + entry.label);
-    const std::string line =
-        harness::frameRecord(harness::journalLine(entry)) + "\n";
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (fd_ < 0)
-        storeFail("put into a store that was never opened", path_);
-    if (index_.count(entry.fingerprint) != 0)
-        return;  // content-addressed: an identical record already holds
-    if (::write(fd_, line.data(), line.size()) !=
-        static_cast<ssize_t>(line.size()))
-        storeFail(std::string("store append failed: ") +
-                      std::strerror(errno),
-                  path_);
-    if (::fsync(fd_) != 0)
-        storeFail(std::string("store fsync failed: ") +
-                      std::strerror(errno),
-                  path_);
-    auto owned = std::make_unique<harness::JournalEntry>(entry);
-    index_[owned->fingerprint] = owned.get();
-    entries_.push_back(std::move(owned));
-}
-
-ResultStore::CompactionStats
-ResultStore::compact()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (fd_ < 0)
-        storeFail("compact a store that was never opened", path_);
-
-    // First-wins over the in-memory record sequence (which is the
-    // file's append order): the canonical content-addressed semantics.
-    // Quarantined lines were never indexed, so they simply do not get
-    // rewritten; legacy records come back out framed. `kept` is
-    // deliberately non-owning: entries_ and index_ stay untouched until
-    // the rename lands, so a failed compaction (ENOSPC, EPERM, ...)
-    // throws out of here with the live store fully intact and
-    // every later find()/put()/retried compact() still safe.
-    CompactionStats stats;
-    stats.recordsIn = entries_.size();
-    std::vector<const harness::JournalEntry *> kept;
-    std::unordered_set<std::string> seen;
-    for (const auto &entry : entries_) {
-        if (!seen.insert(entry->fingerprint).second) {
-            ++stats.duplicatesDropped;
-            continue;
-        }
-        kept.push_back(entry.get());
-    }
-    stats.kept = kept.size();
-
-    const std::string tempPath = path_ + ".compact";
-    const int tmp = ::open(tempPath.c_str(),
-                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (tmp < 0)
-        storeFail(std::string("cannot create compaction temp: ") +
-                      std::strerror(errno),
-                  tempPath);
-    std::string image = headerLine() + "\n";
-    for (const auto *entry : kept)
-        image += harness::frameRecord(harness::journalLine(*entry)) +
-                 "\n";
-    const bool written =
-        ::write(tmp, image.data(), image.size()) ==
-            static_cast<ssize_t>(image.size()) &&
-        ::fsync(tmp) == 0;
-    const int writeErr = errno;  // before close(), which may clobber it
-    ::close(tmp);
-    if (!written) {
-        ::unlink(tempPath.c_str());
-        storeFail(std::string("compaction write failed: ") +
-                      std::strerror(writeErr),
-                  tempPath);
-    }
-    // Atomic cutover: readers/restarts see either the old complete
-    // file or the new complete file, never a half-rewritten one.
-    if (::rename(tempPath.c_str(), path_.c_str()) != 0) {
-        const int err = errno;
-        ::unlink(tempPath.c_str());
-        storeFail(std::string("compaction rename failed: ") +
-                      std::strerror(err),
-                  path_);
-    }
-    fsyncParentDir(path_);
-
-    ::close(fd_);
-    fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-    if (fd_ < 0)
-        storeFail(std::string("cannot reopen compacted store: ") +
-                      std::strerror(errno),
-                  path_);
-
-    // The disk image now holds exactly the first-wins survivors: drop
-    // the duplicate owners and repoint the index at the survivors
-    // (load-time indexing was later-wins, so duplicated fingerprints
-    // must be re-aimed at the record that was actually rewritten).
-    // unique_ptr moves never move the pointees, so nothing dangles
-    // while the vector is rearranged.
-    seen.clear();
-    entries_.erase(
-        std::remove_if(
-            entries_.begin(), entries_.end(),
-            [&seen](const std::unique_ptr<harness::JournalEntry> &e) {
-                return !seen.insert(e->fingerprint).second;
-            }),
-        entries_.end());
-    index_.clear();
-    for (const auto &entry : entries_)
-        index_[entry->fingerprint] = entry.get();
-    return stats;
-}
-
-void
-ResultStore::close()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
+    if (entry.status != "ok" || !entry.hasResult || entry.result.partial)
+        throw sim::SimException(sim::ErrorCode::kJournal,
+                                "only complete 'ok' results may be stored",
+                                entry.row + "/" + entry.label);
+    append(entry);
 }
 
 }  // namespace grit::service

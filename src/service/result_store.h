@@ -4,27 +4,19 @@
  *
  * The persistence layer behind the simulation service: every completed
  * ("ok", non-partial) cell is appended as one integrity-framed JSONL
- * record (harness/record_frame.h: length prefix + CRC32C around the
- * run-journal serialization) keyed by its runFingerprint() and fsync'd
- * before the server acknowledges it, so a kill -9 loses at most the
- * record being written.
+ * record keyed by its runFingerprint() and fsync'd before the server
+ * acknowledges it, so a kill -9 loses at most the record being
+ * written.
  *
- * Startup runs a *scrub*: every record is re-validated (frame, CRC,
- * JSON). A corrupt record — a flipped bit, a torn middle, a stray
- * write — is skipped and its raw line preserved in the
- * `<path>.quarantine` sidecar, and every intact record before AND
- * after it is kept; only an unterminated final line (crash mid-append)
- * is truncated away. The scrub tally is exported as the service's
- * store_* counters. Legacy stores written before framing existed
- * (bare JSON lines) load transparently.
- *
- * compact() rewrites the file keeping only valid first-wins records
- * (write temp + fsync + atomic rename), upgrading legacy records to
- * frames and shedding quarantined lines and duplicates.
- *
- * Only complete results are ever stored: failures and salvaged
- * partials are returned to the requesting client but never persisted,
- * so a transient failure cannot poison the cache.
+ * The file is a harness::RecordLog, the same record log as the run
+ * journal: open() scrubs it (corrupt records are quarantined into the
+ * `<path>.quarantine` sidecar, a torn tail is truncated, the tally is
+ * exported as the service's store_* counters), a damaged header is
+ * refused with store-corrupt, duplicates are first-wins, and compact()
+ * rewrites the file atomically. What the store adds is its header
+ * identity and one policy: only complete results are ever stored.
+ * Failures and salvaged partials are returned to the requesting client
+ * but never persisted, so a transient failure cannot poison the cache.
  *
  * File layout: a plain-JSON header line
  *   {"schema":"grit-result-store","version":1}
@@ -34,99 +26,46 @@
 #ifndef GRIT_SERVICE_RESULT_STORE_H_
 #define GRIT_SERVICE_RESULT_STORE_H_
 
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "harness/record_frame.h"
 #include "harness/run_journal.h"
 
 namespace grit::service {
 
 /** The append-only result store. Thread-safe. */
-class ResultStore
+class ResultStore : private harness::RecordLog
 {
   public:
     static constexpr const char *kSchemaName = "grit-result-store";
     static constexpr unsigned kSchemaVersion = 1;
 
-    /** What compact() did (sizes are records, not bytes). */
-    struct CompactionStats
-    {
-        std::uint64_t recordsIn = 0;  //!< valid records before
-        std::uint64_t kept = 0;       //!< unique records written back
-        std::uint64_t duplicatesDropped = 0;
-    };
-
-    ResultStore() = default;
-    ~ResultStore();
-    ResultStore(const ResultStore &) = delete;
-    ResultStore &operator=(const ResultStore &) = delete;
+    using CompactionStats = harness::RecordLog::CompactionStats;
 
     /**
-     * Open (creating if absent) the store at @p path and scrub it:
-     * validate the header, re-verify every record's frame/CRC/JSON,
-     * quarantine corrupt records into the `.quarantine` sidecar,
-     * truncate a torn tail.
+     * Open (creating if absent) the store at @p path and scrub it.
      * @throws sim::SimException — kJournal when the file cannot be
      *         opened or belongs to a different schema/version,
      *         kStoreCorrupt when the header line itself is damaged.
      */
     void open(const std::string &path);
 
-    bool isOpen() const;
-    const std::string &path() const { return path_; }
-
     /**
-     * Records indexed. put() is first-wins: a fingerprint already
-     * indexed is never appended again (content-addressed — an
-     * identical record already holds). Later-wins applies only at
-     * load time, to duplicate records already present in a
-     * pre-existing file.
-     */
-    std::size_t size() const;
-
-    /** Scrub tally of the most recent open(). */
-    harness::ScrubStats scrubStats() const;
-
-    /** Stored outcome for @p fingerprint; nullptr when absent. */
-    const harness::JournalEntry *find(const std::string &fingerprint) const;
-
-    /**
-     * Append @p entry (one framed write + fsync) and index it.
-     * Rejects anything but a complete "ok" result — the store must
-     * never serve a failure or a partial as a cache hit.
+     * Append @p entry (one framed write + fsync) and index it; a
+     * fingerprint already indexed is not appended again. Rejects
+     * anything but a complete "ok" result — the store must never serve
+     * a failure or a partial as a cache hit.
      * @throws sim::SimException (kJournal) on I/O failure or an
      *         ineligible entry.
      */
     void put(const harness::JournalEntry &entry);
 
-    /**
-     * Rewrite the store keeping only valid first-wins records:
-     * header + one framed record per unique fingerprint, in original
-     * append order, via write-temp + fsync + atomic rename (+ fsync of
-     * the directory), then reopen the append descriptor on the new
-     * file. Sheds load-time duplicates and any quarantined (corrupt)
-     * lines still sitting in the file, and upgrades legacy unframed
-     * records to frames. scrubStats() still describes the last open().
-     * @throws sim::SimException (kJournal) on I/O failure.
-     */
-    CompactionStats compact();
-
-    /** Close the backing file (open() may be called again). */
-    void close();
-
-  private:
-    void loadLocked();
-
-    mutable std::mutex mutex_;
-    int fd_ = -1;
-    std::string path_;
-    harness::ScrubStats scrub_;
-    std::vector<std::unique_ptr<harness::JournalEntry>> entries_;
-    std::unordered_map<std::string, const harness::JournalEntry *> index_;
+    using RecordLog::close;
+    using RecordLog::compact;
+    using RecordLog::find;
+    using RecordLog::isOpen;
+    using RecordLog::path;
+    using RecordLog::scrubStats;
+    using RecordLog::size;
 };
 
 }  // namespace grit::service

@@ -58,6 +58,28 @@ TEST(Cli, AliasResolvesToTheSameFlag)
     EXPECT_EQ(jobs, 8u);
 }
 
+TEST(Cli, AliasTakesAnAttachedValue)
+{
+    Cli cli("prog", "title");
+    unsigned jobs = 0;
+    bool audit = false;
+    cli.flag("--jobs", &jobs, "N", "workers", "-j");
+    cli.flag("--audit", &audit, "audits on", "-a");
+    EXPECT_TRUE(parse(cli, {"-j4"}));
+    EXPECT_EQ(jobs, 4u);
+    EXPECT_TRUE(parse(cli, {"-j", "4"}));
+    EXPECT_EQ(jobs, 4u);
+    for (const std::vector<std::string> &bad :
+         {std::vector<std::string>{"-jx"}, {"-a1"}, {"-x4"}}) {
+        try {
+            parse(cli, bad);
+            FAIL() << "accepted " << bad.front();
+        } catch (const sim::SimException &e) {
+            EXPECT_EQ(e.code(), sim::ErrorCode::kBadArgument);
+        }
+    }
+}
+
 TEST(Cli, DefaultsSurviveWhenFlagsAbsent)
 {
     Cli cli("prog", "title");

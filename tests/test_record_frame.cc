@@ -109,8 +109,9 @@ TEST(RecordFrame, RoundTripsEmptyAndLargePayloads)
          {std::size_t{0}, std::size_t{1}, std::size_t{4096},
           std::size_t{1} << 16}) {
         const std::string payload(n, 'x');
-        const UnframedRecord record =
-            unframeRecord(frameRecord(payload));
+        // record.payload views into the line, so the line must outlive it.
+        const std::string line = frameRecord(payload);
+        const UnframedRecord record = unframeRecord(line);
         EXPECT_EQ(record.kind, RecordKind::kFramed);
         EXPECT_EQ(record.payload, payload);
     }

@@ -545,6 +545,110 @@ TEST(RunJournalFile, TornTailIsTruncatedBeforeAppendsResume)
     EXPECT_NE(reloaded.find("bbbbbbbbbbbbbbbb"), nullptr);
 }
 
+/** The whole file at @p path, byte for byte. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+TEST(RunJournalFile, DamagedHeaderIsRefusedAndRecordsKept)
+{
+    // A damaged header cannot prove which binary wrote the journal:
+    // resume refuses it with store-corrupt instead of treating the
+    // file as fresh and truncating its records away.
+    TempPath path("grit_journal_bad_header.jsonl");
+    JournalEntry entry;
+    entry.fingerprint = "aaaaaaaaaaaaaaaa";
+    entry.row = "BFS";
+    entry.label = "grit";
+    entry.status = "ok";
+    entry.hasResult = true;
+    entry.result.cycles = 7;
+    const std::string record = frameRecord(journalLine(entry)) + "\n";
+    for (const std::string header : {"", "not json at all"}) {
+        SCOPED_TRACE("header '" + header + "'");
+        const std::string image = header + "\n" + record;
+        {
+            std::ofstream out(path.str(),
+                              std::ios::binary | std::ios::trunc);
+            out << image;
+        }
+        RunJournal journal;
+        try {
+            journal.open(path.str(), "test_resilience", /*resume=*/true);
+            FAIL() << "resumed a journal with a damaged header";
+        } catch (const sim::SimException &e) {
+            EXPECT_EQ(e.code(), sim::ErrorCode::kStoreCorrupt);
+        }
+        EXPECT_FALSE(journal.isOpen());
+        EXPECT_EQ(fileBytes(path.str()), image);
+    }
+
+    // A whole header naming another generator is a foreign file, not
+    // a damaged one.
+    {
+        std::ofstream out(path.str(), std::ios::binary | std::ios::trunc);
+        out << "{\"schema\":\"grit-run-journal\",\"version\":2,"
+               "\"generator\":\"other_bench\"}\n"
+            << record;
+    }
+    RunJournal foreign;
+    try {
+        foreign.open(path.str(), "test_resilience", /*resume=*/true);
+        FAIL() << "resumed another generator's journal";
+    } catch (const sim::SimException &e) {
+        EXPECT_EQ(e.code(), sim::ErrorCode::kJournal);
+    }
+}
+
+TEST(RunJournalFile, AppendingAnIndexedFingerprintWritesNothing)
+{
+    TempPath path("grit_journal_duplicate.jsonl");
+    JournalEntry first;
+    first.fingerprint = "aaaaaaaaaaaaaaaa";
+    first.row = "BFS";
+    first.label = "grit";
+    first.status = "ok";
+    first.hasResult = true;
+    first.result.cycles = 100;
+    JournalEntry second = first;
+    second.result.cycles = 999;
+
+    RunJournal journal;
+    journal.open(path.str(), "test_resilience", /*resume=*/false);
+    journal.append(first);
+    const std::string before = fileBytes(path.str());
+    journal.append(second);
+    EXPECT_EQ(fileBytes(path.str()), before);
+    EXPECT_EQ(journal.size(), 1u);
+    EXPECT_EQ(journal.find(first.fingerprint)->result.cycles, 100u);
+}
+
+TEST(RunJournalFile, TornTailIsCountedWithoutValidRecords)
+{
+    // A crash during the very first append leaves a header and a torn
+    // tail; the tail is cut and counted like any other.
+    TempPath path("grit_journal_torn_only.jsonl");
+    {
+        RunJournal journal;
+        journal.open(path.str(), "test_resilience", /*resume=*/false);
+    }
+    const std::string header = fileBytes(path.str());
+    {
+        std::ofstream torn(path.str(), std::ios::app | std::ios::binary);
+        torn << "GF1 00000040 0000";
+    }
+    RunJournal journal;
+    journal.open(path.str(), "test_resilience", /*resume=*/true);
+    EXPECT_EQ(journal.size(), 0u);
+    EXPECT_EQ(journal.scrubStats().truncated, 1u);
+    EXPECT_EQ(fileBytes(path.str()), header);
+}
+
 // --------------------------------------------------------- resume merges
 
 TEST(ResilientSweep, FullJournalReplayIsBitIdentical)

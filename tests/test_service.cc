@@ -317,7 +317,7 @@ TEST(ResultStore, SeededBitflipsQuarantineExactlyTheDamage)
     EXPECT_EQ(store.size(), 8u - report.damagedLines.size());
 }
 
-TEST(ResultStore, LoadIsLaterWinsPutIsFirstWins)
+TEST(ResultStore, DuplicatesAreFirstWinsAtLoadPutAndCompact)
 {
     TempPath path("store_dup.jsonl");
     const harness::JournalEntry first = okEntry("aaaa000011112222", 100);
@@ -333,8 +333,9 @@ TEST(ResultStore, LoadIsLaterWinsPutIsFirstWins)
         EXPECT_EQ(store.find(first.fingerprint)->result.cycles, 100u);
     }
     // Force a duplicate ONTO DISK (e.g. two daemons once raced on the
-    // same store file) and reload: load-time indexing is later-wins,
-    // the documented recovery semantics.
+    // same store file) and reload: load-time indexing is first-wins
+    // too, so the fingerprint answers the same record before
+    // compaction, after it, and after a reopen.
     {
         std::ofstream out(path.str(),
                           std::ios::binary | std::ios::app);
@@ -346,7 +347,45 @@ TEST(ResultStore, LoadIsLaterWinsPutIsFirstWins)
     EXPECT_EQ(store.size(), 1u);
     EXPECT_EQ(store.scrubStats().valid, 2u);
     ASSERT_NE(store.find(first.fingerprint), nullptr);
-    EXPECT_EQ(store.find(first.fingerprint)->result.cycles, 999u);
+    EXPECT_EQ(store.find(first.fingerprint)->result.cycles, 100u);
+
+    const ResultStore::CompactionStats stats = store.compact();
+    EXPECT_EQ(stats.duplicatesDropped, 1u);
+    EXPECT_EQ(store.find(first.fingerprint)->result.cycles, 100u);
+
+    ResultStore reopened;
+    reopened.open(path.str());
+    EXPECT_EQ(reopened.scrubStats().valid, 1u);
+    EXPECT_EQ(reopened.find(first.fingerprint)->result.cycles, 100u);
+}
+
+TEST(ResultStore, ConcurrentPutsWriteEachFingerprintOnce)
+{
+    // Daemon workers put concurrently, often the same cell: the
+    // first-wins check and the append are one step, so each
+    // fingerprint reaches the file exactly once.
+    TempPath path("store_concurrent.jsonl");
+    constexpr unsigned kThreads = 8;
+    constexpr unsigned kCells = 16;
+    {
+        ResultStore store;
+        store.open(path.str());
+        std::vector<std::thread> workers;
+        for (unsigned t = 0; t < kThreads; ++t)
+            workers.emplace_back([&store, t] {
+                for (unsigned i = 0; i < kCells; ++i)
+                    store.put(okEntry("c0000000000000" +
+                                          std::to_string(10 + i),
+                                      1000 * t + i));
+            });
+        for (std::thread &w : workers)
+            w.join();
+        EXPECT_EQ(store.size(), kCells);
+    }
+    ResultStore reopened;
+    reopened.open(path.str());
+    EXPECT_EQ(reopened.size(), kCells);
+    EXPECT_EQ(reopened.scrubStats().valid, kCells);
 }
 
 TEST(ResultStore, ReadsLegacyUnframedFiles)
@@ -455,7 +494,7 @@ TEST(ResultStore, FailedCompactionLeavesTheLiveStoreIntact)
     // Everything still works: lookups, appends, and a retried compact.
     EXPECT_EQ(store.size(), 2u);
     ASSERT_NE(store.find(a.fingerprint), nullptr);
-    EXPECT_EQ(store.find(a.fingerprint)->result.cycles, 999u);
+    EXPECT_EQ(store.find(a.fingerprint)->result.cycles, 100u);
     store.put(okEntry("cccc000011112222", 300));
     const ResultStore::CompactionStats stats = store.compact();
     EXPECT_EQ(stats.recordsIn, 4u);
