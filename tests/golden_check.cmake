@@ -1,11 +1,18 @@
 # Determinism golden: run a bench binary under pinned workload
-# parameters and require its --json output to be byte-identical to a
-# committed reference. Guards the hot-path engine's bit-identity
-# contract (docs/PERFORMANCE.md) against drift from any PR. Usage:
-#   cmake -DCMD="<binary> <args...>" -DGOLDEN=<file> -DOUT=<file>
+# parameters and require its --json output and/or its stdout report to
+# be byte-identical to committed references. Guards the hot-path
+# engine's bit-identity contract (docs/PERFORMANCE.md) against drift
+# from any PR. Usage:
+#   cmake -DCMD="<binary> <args...>" -DOUT=<file>
+#         [-DGOLDEN=<json file>] [-DSTDOUT_GOLDEN=<text file>]
 #         -P golden_check.cmake
-if(NOT DEFINED CMD OR NOT DEFINED GOLDEN OR NOT DEFINED OUT)
-    message(FATAL_ERROR "golden_check.cmake needs -DCMD, -DGOLDEN, -DOUT")
+# At least one of GOLDEN and STDOUT_GOLDEN is required; the JSON is
+# always written to OUT (so the --json path runs either way) and the
+# report to OUT.txt.
+if(NOT DEFINED CMD OR NOT DEFINED OUT OR
+   (NOT DEFINED GOLDEN AND NOT DEFINED STDOUT_GOLDEN))
+    message(FATAL_ERROR "golden_check.cmake needs -DCMD, -DOUT and "
+                        "-DGOLDEN and/or -DSTDOUT_GOLDEN")
 endif()
 
 # The same parameters the references in tests/golden/ were captured
@@ -29,19 +36,28 @@ endif()
 separate_arguments(cmd_list UNIX_COMMAND "${CMD}")
 execute_process(COMMAND ${cmd_list} --json ${OUT}
                 RESULT_VARIABLE code
-                OUTPUT_QUIET
+                OUTPUT_FILE ${OUT}.txt
                 ERROR_VARIABLE err)
 if(NOT code EQUAL 0)
     message(FATAL_ERROR "exit ${code} from: ${CMD}\nstderr:\n${err}")
 endif()
 
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                        ${OUT} ${GOLDEN}
-                RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-    message(FATAL_ERROR
-            "JSON output drifted from the golden reference.\n"
-            "  produced: ${OUT}\n  golden:   ${GOLDEN}\n"
-            "If the change is intentional, regenerate per "
-            "tests/golden/README.md and explain the drift in the PR.")
+function(require_same produced golden what)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                            ${produced} ${golden}
+                    RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+        message(FATAL_ERROR
+                "${what} drifted from the golden reference.\n"
+                "  produced: ${produced}\n  golden:   ${golden}\n"
+                "If the change is intentional, regenerate per "
+                "tests/golden/README.md and explain the drift in the PR.")
+    endif()
+endfunction()
+
+if(DEFINED GOLDEN)
+    require_same(${OUT} ${GOLDEN} "JSON output")
+endif()
+if(DEFINED STDOUT_GOLDEN)
+    require_same(${OUT}.txt ${STDOUT_GOLDEN} "The stdout report")
 endif()
