@@ -9,12 +9,10 @@
 #include "bench_util.h"
 #include "workload/characterizer.h"
 
-static int
-run(const grit::bench::BenchArgs &args)
+static std::vector<grit::harness::NamedTable>
+run(const grit::workload::WorkloadParams &params)
 {
     using namespace grit;
-
-    const auto params = grit::bench::benchParams();
 
     std::cout << "Figure 4: private/shared pages and accesses\n\n";
     harness::TextTable table({"app", "private pages %", "shared pages %",
@@ -37,17 +35,13 @@ run(const grit::bench::BenchArgs &args)
                  100.0 * c.accessesToShared / accesses, 1)});
     }
     table.print(std::cout);
-    grit::bench::maybeWriteJsonTables(args, "fig04_page_sharing",
-        "Figure 4: private/shared pages and accesses", params,
-        {harness::namedTable("page_sharing", table)});
-    return 0;
+    return {harness::namedTable("page_sharing", table)};
 }
 
 int
 main(int argc, char **argv)
 {
-    grit::bench::BenchArgs args("fig04_page_sharing",
-                                "Figure 4: private/shared pages and accesses");
-    return grit::bench::guardedMain(argc, argv, args,
-                                    [&] { return run(args); });
+    return grit::bench::reportMain(
+        argc, argv, "fig04_page_sharing",
+        "Figure 4: private/shared pages and accesses", run);
 }

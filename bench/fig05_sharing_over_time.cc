@@ -51,12 +51,11 @@ report(const grit::workload::Workload &w, unsigned intervals,
 
 }  // namespace
 
-static int
-run(const grit::bench::BenchArgs &args)
+static std::vector<grit::harness::NamedTable>
+run(const grit::workload::WorkloadParams &params)
 {
     using namespace grit;
 
-    const auto params = grit::bench::benchParams();
     constexpr unsigned kIntervals = 16;
 
     std::cout << "Figure 5: shared page access pattern over time "
@@ -66,17 +65,13 @@ run(const grit::bench::BenchArgs &args)
            kIntervals, tables);
     report(workload::makeWorkload(workload::AppId::kSt, params),
            kIntervals, tables);
-    grit::bench::maybeWriteJsonTables(args, "fig05_sharing_over_time",
-        "Figure 5: shared page access pattern over time", params,
-        tables);
-    return 0;
+    return tables;
 }
 
 int
 main(int argc, char **argv)
 {
-    grit::bench::BenchArgs args("fig05_sharing_over_time",
-                                "Figure 5: shared page access pattern over time");
-    return grit::bench::guardedMain(argc, argv, args,
-                                    [&] { return run(args); });
+    return grit::bench::reportMain(
+        argc, argv, "fig05_sharing_over_time",
+        "Figure 5: shared page access pattern over time", run);
 }

@@ -74,28 +74,24 @@ report(const grit::workload::Workload &w,
 
 }  // namespace
 
-static int
-run(const grit::bench::BenchArgs &args)
+static std::vector<grit::harness::NamedTable>
+run(const grit::workload::WorkloadParams &params)
 {
     using namespace grit;
 
-    const auto params = grit::bench::benchParams();
     std::cout << "Figures 6-8: page attributes over time for "
                  "consecutive pages\n\n";
     std::vector<harness::NamedTable> tables;
     report(workload::makeWorkload(workload::AppId::kGemm, params),
            tables);
     report(workload::makeWorkload(workload::AppId::kSt, params), tables);
-    grit::bench::maybeWriteJsonTables(args, "fig06_08_attributes_over_time",
-        "Figures 6-8: page attributes over time", params, tables);
-    return 0;
+    return tables;
 }
 
 int
 main(int argc, char **argv)
 {
-    grit::bench::BenchArgs args("fig06_08_attributes_over_time",
-                                "Figures 6-8: page attributes over time");
-    return grit::bench::guardedMain(argc, argv, args,
-                                    [&] { return run(args); });
+    return grit::bench::reportMain(
+        argc, argv, "fig06_08_attributes_over_time",
+        "Figures 6-8: page attributes over time", run);
 }

@@ -9,12 +9,10 @@
 #include "bench_util.h"
 #include "workload/characterizer.h"
 
-static int
-run(const grit::bench::BenchArgs &args)
+static std::vector<grit::harness::NamedTable>
+run(const grit::workload::WorkloadParams &params)
 {
     using namespace grit;
-
-    const auto params = grit::bench::benchParams();
 
     std::cout << "Figure 9: accesses to read vs read-write pages\n\n";
     harness::TextTable table({"app", "read pages %", "read-write pages %",
@@ -35,17 +33,13 @@ run(const grit::bench::BenchArgs &args)
                  100.0 * c.accessesToReadWrite / accesses, 1)});
     }
     table.print(std::cout);
-    grit::bench::maybeWriteJsonTables(args, "fig09_read_write_mix",
-        "Figure 9: accesses to read vs read-write pages", params,
-        {harness::namedTable("read_write_mix", table)});
-    return 0;
+    return {harness::namedTable("read_write_mix", table)};
 }
 
 int
 main(int argc, char **argv)
 {
-    grit::bench::BenchArgs args("fig09_read_write_mix",
-                                "Figure 9: accesses to read vs read-write pages");
-    return grit::bench::guardedMain(argc, argv, args,
-                                    [&] { return run(args); });
+    return grit::bench::reportMain(
+        argc, argv, "fig09_read_write_mix",
+        "Figure 9: accesses to read vs read-write pages", run);
 }

@@ -10,12 +10,11 @@
 #include "bench_util.h"
 #include "workload/characterizer.h"
 
-static int
-run(const grit::bench::BenchArgs &args)
+static std::vector<grit::harness::NamedTable>
+run(const grit::workload::WorkloadParams &params)
 {
     using namespace grit;
 
-    const auto params = grit::bench::benchParams();
     constexpr unsigned kIntervals = 32;
 
     const auto w = workload::makeWorkload(workload::AppId::kSt, params);
@@ -35,17 +34,13 @@ run(const grit::bench::BenchArgs &args)
                                        100.0 * writes / total, 1)});
     }
     table.print(std::cout);
-    grit::bench::maybeWriteJsonTables(args, "fig10_rw_over_time",
-        "Figure 10: read/write mix over time for one ST page", params,
-        {harness::namedTable("rw_over_time", table)});
-    return 0;
+    return {harness::namedTable("rw_over_time", table)};
 }
 
 int
 main(int argc, char **argv)
 {
-    grit::bench::BenchArgs args("fig10_rw_over_time",
-                                "Figure 10: read/write mix over time for one ST page");
-    return grit::bench::guardedMain(argc, argv, args,
-                                    [&] { return run(args); });
+    return grit::bench::reportMain(
+        argc, argv, "fig10_rw_over_time",
+        "Figure 10: read/write mix over time for one ST page", run);
 }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "figures.h"
 
 namespace {
 
@@ -37,37 +38,11 @@ constexpr grit::harness::PolicyKind kSchemes[] = {
     grit::harness::PolicyKind::kGrit,
 };
 
-/** The three geometry modes of the sweep. */
-enum class Mode { k4k, kLarge, kDynamic };
-
-constexpr Mode kModes[] = {Mode::k4k, Mode::kLarge, Mode::kDynamic};
-
-const char *
-modeName(Mode mode)
-{
-    switch (mode) {
-    case Mode::k4k:
-        return "4k";
-    case Mode::kLarge:
-        return "large";
-    case Mode::kDynamic:
-        return "dyn";
-    }
-    return "?";
-}
-
-/** Counter value from a run's snapshot; 0 when absent. */
-std::uint64_t
-counterOf(const grit::harness::RunResult &run, const std::string &name)
-{
-    for (const auto &[key, value] : run.counters)
-        if (key == name)
-            return value;
-    return 0;
-}
+/** The three geometry modes of the sweep (file comment). */
+const std::string kModes[] = {"4k", "large", "dyn"};
 
 int
-run(const grit::bench::BenchArgs &args)
+run(grit::bench::BenchArgs &args)
 {
     using namespace grit;
     using harness::PolicyKind;
@@ -81,79 +56,61 @@ run(const grit::bench::BenchArgs &args)
         args.pageSizeBytes != 0 ? args.pageSizeBytes : 32 * 1024;
     const std::uint64_t huge_bytes =
         args.hugePagesBytes != 0 ? args.hugePagesBytes : 32 * 1024;
+    // The modes own geometry: the two flags sized them, so the sweep's
+    // overrides must not apply them to every config again.
+    args.pageSizeBytes = 0;
+    args.hugePagesBytes = 0;
 
     std::vector<harness::LabeledConfig> configs;
-    for (Mode mode : kModes) {
-        for (PolicyKind scheme : kSchemes) {
-            harness::LabeledConfig labeled{
-                std::string(harness::policyKindName(scheme)) + "-" +
-                    modeName(mode),
-                harness::makeConfig(scheme)};
-            harness::SystemConfig &config = labeled.config;
-            grit::bench::applyOverrides(args, config);
-            config.geometry = mem::PageGeometry{};  // modes own geometry
-            switch (mode) {
-            case Mode::k4k:
-                break;
-            case Mode::kLarge:
-                config.geometry.baseSize = large_page;
-                break;
-            case Mode::kDynamic:
-                config.geometry.hugePages = true;
-                config.geometry.hugeSize = huge_bytes;
-                break;
-            }
-            config.pageSizeStats = true;
-            configs.push_back(std::move(labeled));
+    const auto add = [&](const std::string &label, PolicyKind scheme,
+                         const std::string &mode) {
+        harness::SystemConfig config = harness::makeConfig(scheme);
+        if (mode == "large")
+            config.geometry.baseSize = large_page;
+        if (mode == "dyn") {
+            config.geometry.hugePages = true;
+            config.geometry.hugeSize = huge_bytes;
         }
-    }
+        config.pageSizeStats = true;
+        configs.push_back({label, config});
+        return &configs.back().config;
+    };
+    for (const std::string &mode : kModes)
+        for (PolicyKind scheme : kSchemes)
+            add(harness::policyKindName(scheme) + ("-" + mode), scheme,
+                mode);
 
     // The fully-resident pair: capacity limit off, so promoted regions
     // are never squeezed out by pinning — the clean-room measurement of
     // what a huge mapping buys the translation path (one TLB entry and
     // one walk per region instead of per 4 KB page).
-    for (Mode mode : {Mode::k4k, Mode::kDynamic}) {
-        harness::LabeledConfig labeled{
-            std::string("resident-") + modeName(mode),
-            harness::makeConfig(PolicyKind::kOnTouch, 4)};
-        harness::SystemConfig &config = labeled.config;
-        grit::bench::applyOverrides(args, config);
-        config.geometry = mem::PageGeometry{};
-        if (mode == Mode::kDynamic) {
-            config.geometry.hugePages = true;
-            config.geometry.hugeSize = huge_bytes;
-        }
-        config.memoryFraction = 0.0;  // fully resident
-        config.pageSizeStats = true;
-        configs.push_back(std::move(labeled));
-    }
+    for (const std::string mode : {"4k", "dyn"})
+        add("resident-" + mode, PolicyKind::kOnTouch, mode)
+            ->memoryFraction = 0.0;  // fully resident
 
-    const auto matrix = grit::bench::runSweep(grit::bench::allApps(),
-                                              configs, params, args);
+    const auto matrix = grit::bench::runSweep(configs, params, args);
 
     std::cout << "Page-size sweep: schemes x translation geometries "
                  "(large = " << large_page / 1024
               << " KB fixed, dyn = 4 KB + " << huge_bytes / 1024
               << " KB promoted regions)\n";
-    for (Mode mode : kModes) {
+    for (const std::string &mode : kModes) {
         std::vector<std::string> labels;
         for (PolicyKind scheme : kSchemes)
-            labels.push_back(std::string(harness::policyKindName(scheme)) +
-                             "-" + modeName(mode));
-        std::cout << "\n== " << modeName(mode) << " ==\n";
-        grit::bench::printSpeedupTable(matrix, labels.front(), labels,
-                                       "speedup, higher is better");
+            labels.push_back(harness::policyKindName(scheme) + ("-" + mode));
+        std::cout << "\n== " << mode << " ==\n";
+        grit::bench::printNormalizedTable(matrix,
+                                          grit::bench::Metric::kSpeedup,
+                                          labels.front(), labels);
     }
 
     std::cout << "\nGRIT mean improvement over on-touch, per geometry "
                  "(paper: +60 % at 4 KB vs +23 % at 2 MB):\n";
-    for (Mode mode : kModes) {
-        const std::string suffix = std::string("-") + modeName(mode);
-        std::cout << "  " << modeName(mode) << ": "
+    for (const std::string &mode : kModes)
+        std::cout << "  " << mode << ": "
                   << harness::TextTable::pct(harness::meanImprovementPct(
-                         matrix, "on-touch" + suffix, "grit" + suffix))
+                         matrix, "on-touch-" + mode, "grit-" + mode))
                   << "\n";
-    }
 
     // The tentpole metric, on the fully-resident pair: how many TLB
     // misses and page walks dynamic promotion buys over fixed 4 KB
@@ -165,12 +122,12 @@ run(const grit::bench::BenchArgs &args)
         const auto dyn = runs.find("resident-dyn");
         if (base == runs.end() || dyn == runs.end())
             continue;
-        const std::uint64_t walks_4k = counterOf(base->second, "gmmu.walks");
-        const std::uint64_t walks_dyn = counterOf(dyn->second, "gmmu.walks");
+        const std::uint64_t walks_4k = base->second.counter("gmmu.walks");
+        const std::uint64_t walks_dyn = dyn->second.counter("gmmu.walks");
         const std::uint64_t l2miss_4k =
-            counterOf(base->second, "tlb.l2_misses");
+            base->second.counter("tlb.l2_misses");
         const std::uint64_t l2miss_dyn =
-            counterOf(dyn->second, "tlb.l2_misses");
+            dyn->second.counter("tlb.l2_misses");
         const double reduction =
             walks_4k == 0 ? 0.0
                           : 100.0 *
@@ -182,9 +139,9 @@ run(const grit::bench::BenchArgs &args)
                   << harness::TextTable::pct(reduction)
                   << " fewer), L2 TLB misses " << l2miss_4k << " -> "
                   << l2miss_dyn << ", promoted "
-                  << counterOf(dyn->second, "promote.regions")
+                  << dyn->second.counter("promote.regions")
                   << " region(s), splintered "
-                  << counterOf(dyn->second, "splinter.regions") << "\n";
+                  << dyn->second.counter("splinter.regions") << "\n";
     }
 
     grit::bench::maybeWriteJson(
@@ -201,7 +158,8 @@ main(int argc, char **argv)
 {
     grit::bench::BenchArgs args(
         "fig_pagesize",
-        "Page-size sweep: schemes x translation geometries");
+        "Page-size sweep: schemes x translation geometries",
+        grit::bench::BenchArgs::Kind::kSweep);
     return grit::bench::guardedMain(argc, argv, args,
                                     [&] { return run(args); });
 }

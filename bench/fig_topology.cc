@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "figures.h"
 
 namespace {
 
@@ -32,19 +33,10 @@ run(const grit::bench::BenchArgs &args)
     using namespace grit;
 
     // `--topology` narrows the sweep; by default all kinds run.
-    std::vector<ic::TopologyKind> kinds;
-    if (!args.topology.empty()) {
-        const auto kind = ic::topologyKindFromName(args.topology);
-        if (!kind)
-            throw sim::SimException(
-                sim::ErrorCode::kBadArgument,
-                "--topology: unknown topology \"" + args.topology +
-                    "\" (expected all-to-all, ring, switch, or chiplet)");
-        kinds.push_back(*kind);
-    } else {
-        kinds.assign(std::begin(ic::kAllTopologyKinds),
-                     std::end(ic::kAllTopologyKinds));
-    }
+    std::vector<ic::TopologyKind> kinds(std::begin(ic::kAllTopologyKinds),
+                                        std::end(ic::kAllTopologyKinds));
+    if (!args.topology.empty())
+        kinds = {grit::bench::parseTopology(args.topology)};
 
     std::vector<harness::LabeledConfig> configs;
     for (ic::TopologyKind kind : kinds) {
@@ -55,13 +47,12 @@ run(const grit::bench::BenchArgs &args)
                 harness::makeConfig(scheme)};
             labeled.config.fabric.kind = kind;
             labeled.config.fabricStats = true;
-            grit::bench::applyOverrides(args, labeled.config);
             configs.push_back(std::move(labeled));
         }
     }
 
-    const auto matrix = grit::bench::runSweep(
-        grit::bench::allApps(), configs, grit::bench::benchParams(), args);
+    const auto params = grit::bench::benchParams();
+    const auto matrix = grit::bench::runSweep(configs, params, args);
 
     std::cout << "Topology sensitivity: placement schemes across "
                  "interconnect topologies\n";
@@ -72,8 +63,9 @@ run(const grit::bench::BenchArgs &args)
             labels.push_back(topo + "/" +
                              harness::policyKindName(scheme));
         std::cout << "\n== " << topo << " ==\n";
-        grit::bench::printSpeedupTable(matrix, labels.front(), labels,
-                                       "speedup, higher is better");
+        grit::bench::printNormalizedTable(matrix,
+                                          grit::bench::Metric::kSpeedup,
+                                          labels.front(), labels);
     }
 
     // Cross-topology robustness: how much of GRIT's advantage over
@@ -90,8 +82,8 @@ run(const grit::bench::BenchArgs &args)
 
     grit::bench::maybeWriteJson(
         args, "fig_topology",
-        "Topology sensitivity: schemes x interconnect topologies",
-        grit::bench::benchParams(), matrix);
+        "Topology sensitivity: schemes x interconnect topologies", params,
+        matrix);
     return 0;
 }
 
@@ -102,7 +94,8 @@ main(int argc, char **argv)
 {
     grit::bench::BenchArgs args(
         "fig_topology",
-        "Topology sensitivity: schemes x interconnect topologies");
+        "Topology sensitivity: schemes x interconnect topologies",
+        grit::bench::BenchArgs::Kind::kSweep);
     return grit::bench::guardedMain(argc, argv, args,
                                     [&] { return run(args); });
 }

@@ -338,7 +338,8 @@ int
 main(int argc, char **argv)
 {
     grit::bench::BenchArgs args("perf_hotpath",
-                                "hot-path throughput microbenchmarks");
+                                "hot-path throughput microbenchmarks",
+                                grit::bench::BenchArgs::Kind::kReport);
     args.jsonPath = "BENCH_hotpath.json";  // default; --json overrides
     bool quick = false;
     args.cli.flag("--quick", &quick,

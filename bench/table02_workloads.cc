@@ -10,12 +10,10 @@
 #include "bench_util.h"
 #include "workload/characterizer.h"
 
-static int
-run(const grit::bench::BenchArgs &args)
+static std::vector<grit::harness::NamedTable>
+run(const grit::workload::WorkloadParams &params)
 {
     using namespace grit;
-
-    const auto params = grit::bench::benchParams();
 
     std::cout << "Table II: applications\n\n";
     harness::TextTable table({"abbr", "application", "suite", "pattern",
@@ -35,16 +33,13 @@ run(const grit::bench::BenchArgs &args)
                       harness::TextTable::fmt(writes, 1)});
     }
     table.print(std::cout);
-    grit::bench::maybeWriteJsonTables(args, "table02_workloads", "Table II: applications",
-        params, {harness::namedTable("workloads", table)});
-    return 0;
+    return {harness::namedTable("workloads", table)};
 }
 
 int
 main(int argc, char **argv)
 {
-    grit::bench::BenchArgs args("table02_workloads",
-                                "Table II: applications");
-    return grit::bench::guardedMain(argc, argv, args,
-                                    [&] { return run(args); });
+    return grit::bench::reportMain(
+        argc, argv, "table02_workloads",
+        "Table II: applications", run);
 }

@@ -80,6 +80,8 @@ class RunPlan
             nullptr);
 
     const std::vector<RunCell> &cells() const { return cells_; }
+    /** Mutable cells, e.g. to apply command-line overrides to each. */
+    std::vector<RunCell> &cells() { return cells_; }
     std::size_t size() const { return cells_.size(); }
     bool empty() const { return cells_.empty(); }
 

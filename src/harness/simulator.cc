@@ -59,6 +59,15 @@ RunResult::oversubscriptionRate() const
            static_cast<double>(accesses);
 }
 
+std::uint64_t
+RunResult::counter(const std::string &name) const
+{
+    for (const auto &[key, value] : counters)
+        if (key == name)
+            return value;
+    return 0;
+}
+
 Simulator::Simulator(const SystemConfig &config,
                      workload::StreamedWorkload workload)
     : config_(config), workload_(std::move(workload))

@@ -57,6 +57,8 @@ struct RunResult
     std::uint64_t peakReplicas = 0;
     /** Full counter snapshot for detailed reporting. */
     std::vector<std::pair<std::string, std::uint64_t>> counters;
+    /** Counter @p name from the snapshot; 0 when absent. */
+    std::uint64_t counter(const std::string &name) const;
 
     /**
      * Per-interval event timeline (TimelineKind keys); present only

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cctype>
 
+#include "simcore/sim_error.h"
 #include "workload/generators.h"
 
 namespace grit::workload {
@@ -364,20 +365,27 @@ appFromName(const std::string &name)
     return std::nullopt;
 }
 
+void
+checkParams(const WorkloadParams &params)
+{
+    if (params.footprintDivisor == 0)
+        throw sim::SimException(sim::ErrorCode::kConfigInvalid,
+                                "footprint divisor must be at least 1",
+                                "workload params");
+}
+
 Workload
 workloadShell(AppId app, const WorkloadParams &params)
 {
     assert(params.numGpus > 0);
-    assert(params.footprintDivisor > 0);
+    checkParams(params);
     return shell(app, params);
 }
 
 void
 generateTrace(AppId app, const WorkloadParams &params, TraceSink &sink)
 {
-    assert(params.numGpus > 0);
-    assert(params.footprintDivisor > 0);
-    const std::uint64_t pages = shell(app, params).footprintGenPages;
+    const std::uint64_t pages = workloadShell(app, params).footprintGenPages;
     switch (app) {
       case AppId::kBfs:  genBfs(params, pages, sink);  return;
       case AppId::kBs:   genBs(params, pages, sink);   return;

@@ -71,9 +71,16 @@ struct WorkloadParams
 };
 
 /**
+ * Throw a kConfigInvalid sim::SimException when @p params cannot size
+ * a footprint (a zero footprintDivisor). Every shell and generator
+ * calls it, so the bench, engine and service paths share one check.
+ */
+void checkParams(const WorkloadParams &params);
+
+/**
  * Metadata shell for @p app under @p params: everything but the
  * traces (name, suite, pattern, scaled footprint). Cheap — no
- * generation happens.
+ * generation happens. Throws as checkParams() does.
  */
 Workload workloadShell(AppId app, const WorkloadParams &params = {});
 
@@ -81,7 +88,8 @@ Workload workloadShell(AppId app, const WorkloadParams &params = {});
  * Emit @p app's full multi-GPU trace into @p sink, in generation
  * order. The streaming back end of makeWorkload: identical RNG draws,
  * bit-identical accesses, but the caller chooses where they land
- * (materialize, count, or chunk — workload/trace_stream.h).
+ * (materialize, count, or chunk — workload/trace_stream.h). Throws as
+ * checkParams() does.
  */
 void generateTrace(AppId app, const WorkloadParams &params,
                    TraceSink &sink);

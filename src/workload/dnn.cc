@@ -48,6 +48,7 @@ Workload
 dnnWorkloadShell(DnnModel model, const WorkloadParams &params)
 {
     assert(params.numGpus > 0);
+    checkParams(params);
     const DnnGeometry geo = geometry(model);
 
     Workload w;

@@ -955,6 +955,32 @@ TEST(ServiceServer, DeadlineFailureSalvagesPartialAndIsNotCached)
     server.stop();
 }
 
+TEST(ServiceServer, ZeroFootprintDivisorIsAStructuredFailure)
+{
+    Server::Options options;
+    options.workers = 2;
+    Server server(std::move(options));
+    server.start();
+
+    // A zero divisor used to divide by zero in the workload shell and
+    // take the whole daemon down; it must fail this request only.
+    Request bad = runRequest("alice", "BFS", "on-touch");
+    bad.run.params.footprintDivisor = 0;
+    const Response failed = server.handle(bad);
+    EXPECT_EQ(failed.status, "failed");
+    ASSERT_TRUE(failed.entry.has_value());
+    ASSERT_TRUE(failed.entry->error.has_value());
+    EXPECT_EQ(failed.entry->error->code, sim::ErrorCode::kConfigInvalid);
+    EXPECT_FALSE(failed.entry->hasResult);
+
+    const Response ok = server.handle(runRequest("alice", "BFS", "on-touch"));
+    ASSERT_EQ(ok.status, "ok");
+    ASSERT_TRUE(ok.entry.has_value());
+    EXPECT_GT(ok.entry->result.cycles, 0u);
+    EXPECT_EQ(server.counters().failures, 1u);
+    server.stop();
+}
+
 TEST(ServiceServer, ResultsInvariantUnderWorkerCount)
 {
     const std::vector<std::pair<std::string, std::string>> cells = {
