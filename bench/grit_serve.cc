@@ -41,9 +41,9 @@
 
 static void
 writeServiceJson(const std::string &path,
+                 const grit::workload::WorkloadParams &params,
                  const grit::service::ServiceCounters &c)
 {
-    const auto params = grit::bench::benchParams();
     auto file = grit::bench::openOutput(path);
     std::ostream &os = file ? *file : std::cout;
     grit::stats::ResultSink sink(os);
@@ -105,6 +105,9 @@ main(int argc, char **argv)
     try {
         if (!cli.parse(argc, argv))
             return grit::bench::kExitFull;  // --help
+        // Read now, so a malformed GRIT_* variable fails at startup,
+        // not when the drain writes --json.
+        const workload::WorkloadParams params = grit::bench::benchParams();
 
         if (compact || !corruptSpec.empty()) {
             if (storePath.empty())
@@ -196,7 +199,7 @@ main(int argc, char **argv)
                   << grit::bench::cancelSignal() << "\n";
         server.stop();
         if (!jsonPath.empty())
-            writeServiceJson(jsonPath, server.counters());
+            writeServiceJson(jsonPath, params, server.counters());
         return grit::bench::kExitFull;
     } catch (const sim::SimException &e) {
         std::cerr << e.error().str() << "\n";
