@@ -9,7 +9,7 @@
  * Also here: the million-page scale cell (docs/PERFORMANCE.md,
  * "Scaling footprints") — the SCALE workload streamed through
  * GeneratedTraceStreams into the simulator with every one of its ~10^6
- * pages resident at once, stressing the flat_map page tables and the
+ * pages resident at once, stressing the per-page store and the
  * calendar queue at production footprint. Peak RSS is recorded so CI
  * can assert the streamed path stays memory-bounded.
  *
@@ -220,7 +220,7 @@ struct ScaleCellStats
 /**
  * Million-page scale cell: every page of a ~10^6-page footprint is
  * resident at once (memoryFraction 0 disables capacity eviction, so
- * the flat_map page tables grow to full size), replayed from bounded
+ * the per-page tables grow to full size), replayed from bounded
  * GeneratedTraceStreams — peak trace memory is a few chunks per GPU,
  * never the whole multi-million-access trace.
  */

@@ -17,7 +17,7 @@
 
 #include <cstdint>
 
-#include "simcore/flat_map.h"
+#include "simcore/page_array.h"
 #include "simcore/types.h"
 
 namespace grit::core {
@@ -70,12 +70,12 @@ class PaTable
 
   private:
     /**
-     * Open-addressing flat map: the PA-Table sits on the fault path
+     * Dense page-indexed array: the PA-Table sits on the fault path
      * (one find per fault, one put/erase per scheme decision), so its
-     * insert-until-threshold-then-delete churn runs on recycled cells
-     * instead of per-node allocations.
+     * insert-until-threshold-then-delete churn reuses the page's slot
+     * instead of allocating.
      */
-    sim::FlatMap<sim::PageId, PaEntry> entries_;
+    sim::PageArray<PaEntry> entries_;
     mutable std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
 };

@@ -112,19 +112,43 @@ Gpu::fillTlbs(unsigned lane, sim::PageId page)
     assert(lane < config_.lanes);
     const sim::PageId key = translationKey(page);
     l1Tlbs_[lane].insert(key);
-    l1Holders_[key] |= std::uint64_t{1} << (lane & 63);
+    const std::uint64_t bit = std::uint64_t{1} << (lane & 63);
+    if (mem::isHugeKey(key)) {
+        hugeL1Holders_[key] |= bit;
+    } else {
+        L1Holders &holders = l1Holders_[key];
+        if (holders.epoch != flushEpoch_)
+            holders = L1Holders{0, flushEpoch_};
+        holders.lanes |= bit;
+    }
     l2Tlb_.insert(key);
+}
+
+std::uint64_t
+Gpu::takeL1Holders(sim::PageId key)
+{
+    std::uint64_t lanes = 0;
+    if (mem::isHugeKey(key)) {
+        if (const std::uint64_t *mask = hugeL1Holders_.find(key)) {
+            lanes = *mask;
+            hugeL1Holders_.erase(key);
+        }
+    } else if (L1Holders *holders = l1Holders_.find(key);
+               holders != nullptr && holders->epoch == flushEpoch_) {
+        lanes = holders->lanes;
+        holders->lanes = 0;
+    }
+    return lanes;
 }
 
 void
 Gpu::invalidateTranslation(sim::PageId key)
 {
-    if (const std::uint64_t *mask = l1Holders_.find(key)) {
+    if (const std::uint64_t lanes = takeL1Holders(key)) {
         for (unsigned lane = 0; lane < config_.lanes; ++lane) {
-            if ((*mask >> (lane & 63)) & 1)
+            if ((lanes >> (lane & 63)) & 1)
                 l1Tlbs_[lane].invalidate(key);
         }
-        l1Holders_.erase(key);
     }
     l2Tlb_.invalidate(key);
 }
@@ -169,7 +193,9 @@ Gpu::flushForInvalidation(sim::Cycle now, sim::Cycle drain_cycles)
 {
     for (auto &tlb : l1Tlbs_)
         tlb.flushAll();
-    l1Holders_.clear();  // flush emptied every L1; drop the filter
+    // The flush emptied every L1: retire every holder mask at once.
+    ++flushEpoch_;
+    hugeL1Holders_.clear();
     l2Tlb_.flushAll();
     l2Cache_.flushAll();
     gmmu_.flushWalkCache();

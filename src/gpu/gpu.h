@@ -25,6 +25,7 @@
 #include "mem/page_table.h"
 #include "mem/tlb.h"
 #include "simcore/flat_map.h"
+#include "simcore/page_array.h"
 #include "simcore/resource.h"
 #include "simcore/types.h"
 
@@ -219,6 +220,9 @@ class Gpu
      *  cache: promote/splinter moves no data). */
     void invalidateTranslation(sim::PageId key);
 
+    /** Lanes whose L1 TLB may hold @p key; forgets them. */
+    std::uint64_t takeL1Holders(sim::PageId key);
+
     sim::GpuId id_;
     GpuConfig config_;
     const mem::PageGeometry *geometry_;
@@ -226,15 +230,27 @@ class Gpu
 
     std::vector<mem::Tlb> l1Tlbs_;  //!< one per lane
     /**
-     * Conservative shootdown filter: page -> bitmask of lanes (mod 64)
-     * whose L1 TLB may hold it. Set on every fill, erased once the page
-     * is shot down, cleared on full flushes. A page absent from the
-     * index is provably in no L1 TLB, so invalidatePage() skips the
+     * Conservative shootdown filter: translation key -> bitmask of
+     * lanes (mod 64) whose L1 TLB may hold it. Set on every fill,
+     * cleared once the key is shot down and on full flushes. A key with
+     * no lanes is provably in no L1 TLB, so invalidatePage() skips the
      * per-lane set scans — the dominant cost of remote invalidations —
      * without changing any TLB state transition. False positives only
      * cost a scan; false negatives cannot happen.
+     *
+     * Base-page keys live in a page-indexed array whose masks count
+     * only while their epoch equals flushEpoch_, so a full flush is one
+     * increment instead of freeing and regrowing the array. Huge keys
+     * (few, and outside the dense page range) keep a small map.
      */
-    sim::FlatMap<sim::PageId, std::uint64_t> l1Holders_;
+    struct L1Holders
+    {
+        std::uint64_t lanes = 0;
+        std::uint64_t epoch = 0;
+    };
+    sim::PageArray<L1Holders> l1Holders_;
+    sim::FlatMap<sim::PageId, std::uint64_t> hugeL1Holders_;
+    std::uint64_t flushEpoch_ = 0;
     mem::Tlb l2Tlb_;
     Gmmu gmmu_;
     mem::DataCache l2Cache_;

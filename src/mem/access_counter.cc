@@ -27,8 +27,8 @@ AccessCounterTable::recordRemoteAccess(sim::PageId page)
 unsigned
 AccessCounterTable::count(sim::PageId page) const
 {
-    auto it = counts_.find(groupOf(page));
-    return it == counts_.end() ? 0 : it->second;
+    const unsigned *count = counts_.find(groupOf(page));
+    return count == nullptr ? 0 : *count;
 }
 
 void

@@ -12,8 +12,8 @@
 #define GRIT_MEM_ACCESS_COUNTER_H_
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "simcore/page_array.h"
 #include "simcore/types.h"
 
 namespace grit::mem {
@@ -67,7 +67,8 @@ class AccessCounterTable
   private:
     unsigned pagesPerGroup_;
     unsigned threshold_;
-    std::unordered_map<std::uint64_t, unsigned> counts_;
+    /** Remote-access count per counter group, indexed by group. */
+    sim::PageArray<unsigned> counts_;
     std::uint64_t triggers_ = 0;
 };
 

@@ -12,7 +12,7 @@ DramManager::DramManager(std::uint64_t capacity_pages)
 void
 DramManager::configureRegions(std::uint64_t pages_per_region)
 {
-    assert(map_.empty() && "configure regions before any allocation");
+    assert(frames_.empty() && "configure regions before any allocation");
     pagesPerRegion_ = pages_per_region > 1 ? pages_per_region : 1;
     regions_.clear();
 }
@@ -22,8 +22,8 @@ DramManager::ownedInRegion(sim::PageId region) const
 {
     if (pagesPerRegion_ <= 1)
         return 0;
-    const auto it = regions_.find(region);
-    return it != regions_.end() ? it->second.owned : 0;
+    const RegionState *state = regions_.find(region);
+    return state != nullptr ? state->owned : 0;
 }
 
 void
@@ -39,12 +39,8 @@ DramManager::unpinRegion(sim::PageId region)
 {
     if (pagesPerRegion_ <= 1)
         return;
-    const auto it = regions_.find(region);
-    if (it == regions_.end())
-        return;
-    it->second.pinned = false;
-    if (it->second.owned == 0)
-        regions_.erase(it);
+    if (RegionState *state = regions_.find(region))
+        state->pinned = false;
 }
 
 bool
@@ -52,8 +48,8 @@ DramManager::regionPinned(sim::PageId region) const
 {
     if (pagesPerRegion_ <= 1)
         return false;
-    const auto it = regions_.find(region);
-    return it != regions_.end() && it->second.pinned;
+    const RegionState *state = regions_.find(region);
+    return state != nullptr && state->pinned;
 }
 
 void
@@ -61,46 +57,72 @@ DramManager::accountOwned(sim::PageId page, std::int64_t delta)
 {
     if (pagesPerRegion_ <= 1)
         return;
-    const sim::PageId region = regionOf(page);
-    auto it = regions_.find(region);
-    if (it == regions_.end()) {
-        if (delta <= 0)
-            return;
-        it = regions_.emplace(region, RegionState{}).first;
-    }
+    std::uint64_t &owned = regions_[regionOf(page)].owned;
     if (delta > 0) {
-        it->second.owned += static_cast<std::uint64_t>(delta);
+        owned += static_cast<std::uint64_t>(delta);
     } else {
         const auto dec = static_cast<std::uint64_t>(-delta);
-        assert(it->second.owned >= dec && "region owned-count underflow");
-        it->second.owned -= dec;
-        if (it->second.owned == 0 && !it->second.pinned)
-            regions_.erase(it);
+        assert(owned >= dec && "region owned-count underflow");
+        owned -= dec;
     }
 }
 
-DramManager::Frame
-DramManager::popVictim()
+void
+DramManager::linkFront(sim::PageId page, Frame &frame)
 {
-    assert(!lru_.empty());
+    frame.prev = kNil;
+    frame.next = mru_;
+    if (mru_ != kNil)
+        frames_.find(mru_)->prev = page;
+    else
+        lru_ = page;
+    mru_ = page;
+}
+
+void
+DramManager::unlink(const Frame &frame)
+{
+    if (frame.prev != kNil)
+        frames_.find(frame.prev)->next = frame.next;
+    else
+        mru_ = frame.next;
+    if (frame.next != kNil)
+        frames_.find(frame.next)->prev = frame.prev;
+    else
+        lru_ = frame.prev;
+}
+
+Eviction
+DramManager::release(sim::PageId page)
+{
+    const Frame &frame = *frames_.find(page);
+    const Eviction freed{page, frame.kind};
+    unlink(frame);
+    frames_.erase(page);
+    if (freed.kind == FrameKind::kReplica)
+        --replicas_;
+    else
+        accountOwned(page, -1);
+    return freed;
+}
+
+sim::PageId
+DramManager::pickVictim() const
+{
+    assert(lru_ != kNil);
     if (pagesPerRegion_ > 1) {
         // Scan from the LRU tail for the first frame outside a pinned
         // region. Pinned (promoted) frames are hot by construction, so
         // they cluster near the MRU end and the scan stays short.
-        for (auto it = lru_.end(); it != lru_.begin();) {
-            --it;
-            if (!regionPinned(regionOf(it->page))) {
-                Frame victim = *it;
-                lru_.erase(it);
-                return victim;
-            }
+        for (sim::PageId page = lru_; page != kNil;
+             page = frames_.find(page)->prev) {
+            if (!regionPinned(regionOf(page)))
+                return page;
         }
         // Every frame is pinned: capacity is a hard limit, so the true
         // LRU goes anyway; the caller splinters its region.
     }
-    Frame victim = lru_.back();
-    lru_.pop_back();
-    return victim;
+    return lru_;
 }
 
 std::optional<Eviction>
@@ -109,19 +131,14 @@ DramManager::insert(sim::PageId page, FrameKind kind)
     assert(!resident(page) && "double allocation of a frame");
 
     std::optional<Eviction> victim;
-    if (capacity_ != 0 && map_.size() >= capacity_) {
-        const Frame lru = popVictim();
-        map_.erase(lru.page);
-        if (lru.kind == FrameKind::kReplica)
-            --replicas_;
-        else
-            accountOwned(lru.page, -1);
+    if (capacity_ != 0 && frames_.size() >= capacity_) {
+        victim = release(pickVictim());
         ++evictions_;
-        victim = Eviction{lru.page, lru.kind};
     }
 
-    lru_.push_front(Frame{page, kind});
-    map_[page] = lru_.begin();
+    Frame &frame = frames_[page];
+    frame.kind = kind;
+    linkFront(page, frame);
     if (kind == FrameKind::kReplica)
         ++replicas_;
     else
@@ -132,88 +149,82 @@ DramManager::insert(sim::PageId page, FrameKind kind)
 void
 DramManager::touch(sim::PageId page)
 {
-    auto it = map_.find(page);
-    if (it == map_.end())
+    Frame *frame = frames_.find(page);
+    if (frame == nullptr || page == mru_)
         return;
-    lru_.splice(lru_.begin(), lru_, it->second);
+    unlink(*frame);
+    linkFront(page, *frame);
 }
 
 bool
 DramManager::erase(sim::PageId page)
 {
-    auto it = map_.find(page);
-    if (it == map_.end())
+    if (!resident(page))
         return false;
-    if (it->second->kind == FrameKind::kReplica)
-        --replicas_;
-    else
-        accountOwned(page, -1);
-    lru_.erase(it->second);
-    map_.erase(it);
+    release(page);
     return true;
 }
 
 bool
 DramManager::resident(sim::PageId page) const
 {
-    return map_.count(page) != 0;
+    return frames_.contains(page);
 }
 
 FrameKind
 DramManager::kindOf(sim::PageId page) const
 {
-    auto it = map_.find(page);
-    assert(it != map_.end());
-    return it->second->kind;
+    const Frame *frame = frames_.find(page);
+    assert(frame != nullptr);
+    return frame->kind;
 }
 
 void
 DramManager::setKind(sim::PageId page, FrameKind kind)
 {
-    auto it = map_.find(page);
-    assert(it != map_.end());
-    if (it->second->kind == kind)
+    Frame *frame = frames_.find(page);
+    assert(frame != nullptr);
+    if (frame->kind == kind)
         return;
-    if (it->second->kind == FrameKind::kReplica) {
+    if (frame->kind == FrameKind::kReplica) {
         --replicas_;
         accountOwned(page, +1);
     } else {
         ++replicas_;
         accountOwned(page, -1);
     }
-    it->second->kind = kind;
+    frame->kind = kind;
 }
 
 std::optional<Eviction>
 DramManager::evictLru()
 {
-    if (lru_.empty())
+    if (frames_.empty())
         return std::nullopt;
-    const Frame lru = popVictim();
-    map_.erase(lru.page);
-    if (lru.kind == FrameKind::kReplica)
-        --replicas_;
-    else
-        accountOwned(lru.page, -1);
+    const Eviction victim = release(pickVictim());
     ++evictions_;
-    return Eviction{lru.page, lru.kind};
+    return victim;
 }
 
 std::vector<Eviction>
 DramManager::frames() const
 {
     std::vector<Eviction> out;
-    out.reserve(lru_.size());
-    for (const Frame &f : lru_)
-        out.push_back(Eviction{f.page, f.kind});
+    out.reserve(frames_.size());
+    for (sim::PageId page = mru_; page != kNil;) {
+        const Frame &frame = *frames_.find(page);
+        out.push_back(Eviction{page, frame.kind});
+        page = frame.next;
+    }
     return out;
 }
 
 void
 DramManager::clear()
 {
-    lru_.clear();
-    map_.clear();
+    frames_.clear();
+    mru_ = kNil;
+    lru_ = kNil;
     evictions_ = 0;
     replicas_ = 0;
     regions_.clear();

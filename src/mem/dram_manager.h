@@ -15,11 +15,10 @@
 #define GRIT_MEM_DRAM_MANAGER_H_
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "simcore/page_array.h"
 #include "simcore/types.h"
 
 namespace grit::mem {
@@ -98,7 +97,7 @@ class DramManager
     /** Snapshot of every resident frame, for cross-layer audits. */
     std::vector<Eviction> frames() const;
 
-    std::uint64_t size() const { return map_.size(); }
+    std::uint64_t size() const { return frames_.size(); }
     std::uint64_t capacity() const { return capacity_; }
     std::uint64_t evictions() const { return evictions_; }
     std::uint64_t replicaCount() const { return replicas_; }
@@ -106,13 +105,19 @@ class DramManager
     void clear();
 
   private:
+    /** Ends of the LRU list. */
+    static constexpr sim::PageId kNil = ~sim::PageId{0};
+
+    /**
+     * A resident frame: its kind and its links in the LRU list, which
+     * is threaded through the frame array by page id (front = MRU).
+     */
     struct Frame
     {
-        sim::PageId page;
-        FrameKind kind;
+        sim::PageId prev = kNil;  //!< towards the MRU end
+        sim::PageId next = kNil;  //!< towards the LRU end
+        FrameKind kind = FrameKind::kOwned;
     };
-
-    using LruList = std::list<Frame>;
 
     struct RegionState
     {
@@ -128,18 +133,27 @@ class DramManager
     /** Adjust the owned count of @p page's region by @p delta. */
     void accountOwned(sim::PageId page, std::int64_t delta);
 
-    /** Pop the eviction victim: LRU skipping pinned regions, falling
-     *  back to the true LRU when everything is pinned. */
-    Frame popVictim();
+    /** Put @p page's frame at the MRU end. */
+    void linkFront(sim::PageId page, Frame &frame);
+    /** Take @p frame out of the LRU list. */
+    void unlink(const Frame &frame);
+
+    /** Free @p page's frame and undo its accounting. @pre resident */
+    Eviction release(sim::PageId page);
+
+    /** The eviction victim: LRU skipping pinned regions, falling back
+     *  to the true LRU when everything is pinned. @pre size() > 0 */
+    sim::PageId pickVictim() const;
 
     std::uint64_t capacity_;
-    LruList lru_;  // front = MRU, back = LRU
-    std::unordered_map<sim::PageId, LruList::iterator> map_;
+    sim::PageArray<Frame> frames_;
+    sim::PageId mru_ = kNil;
+    sim::PageId lru_ = kNil;
     std::uint64_t evictions_ = 0;
     std::uint64_t replicas_ = 0;
 
     std::uint64_t pagesPerRegion_ = 1;  //!< <= 1: regions disabled
-    std::unordered_map<sim::PageId, RegionState> regions_;
+    sim::PageArray<RegionState> regions_;  //!< indexed by region id
 };
 
 }  // namespace grit::mem

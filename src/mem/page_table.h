@@ -17,7 +17,7 @@
 #include <optional>
 
 #include "mem/pte.h"
-#include "simcore/flat_map.h"
+#include "simcore/page_array.h"
 #include "simcore/types.h"
 
 namespace grit::mem {
@@ -28,13 +28,16 @@ enum class MappingKind : std::uint8_t {
     kRemote,  //!< translation points at another processor's DRAM
 };
 
-/** A page-table record: packed PTE plus simulator-level routing info. */
+/**
+ * A page-table record: packed PTE plus simulator-level routing info
+ * (field order keeps it at 16 bytes).
+ */
 struct PteRecord
 {
     Pte pte;
-    MappingKind kind = MappingKind::kLocal;
     /** Where the data lives (this GPU for kLocal; owner for kRemote). */
     sim::GpuId location = sim::kNoGpu;
+    MappingKind kind = MappingKind::kLocal;
     /**
      * Replica mappings produced by page duplication are read-only; a
      * write hitting one raises a page-protection fault (Section II-B3).
@@ -99,13 +102,12 @@ class PageTable
     /** Number of entries (valid or annotation-only). */
     std::size_t size() const { return entries_.size(); }
 
-    /** Entry storage: open-addressing flat map, deterministic order. */
-    using EntryMap = sim::FlatMap<sim::PageId, PteRecord>;
+    /** Entry storage: a dense page-indexed array. */
+    using EntryMap = sim::PageArray<PteRecord>;
 
     /**
-     * All records (valid or annotation-only), for cross-layer audits.
-     * Iteration order is deterministic (a pure function of the
-     * operation sequence), so audit output is reproducible.
+     * All records (valid or annotation-only), for cross-layer audits,
+     * in ascending page order.
      */
     const EntryMap &entries() const { return entries_; }
 

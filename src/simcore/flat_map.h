@@ -1,7 +1,11 @@
 /**
  * @file
- * Open-addressing flat hash map shared by the simulator's hottest
- * tables (mem::PageTable, core::PaTable, uvm::ReplicaDirectory).
+ * Open-addressing flat hash map for the region-keyed huge-page state:
+ * mem::RegionTracker's heat and promotion ledgers, gpu::Gpu's promoted
+ * regions and its huge-key L1 holder masks. Those keys are sparse
+ * (huge keys carry bit 62) and the tracker's insertion order drives
+ * splinterAllPromoted(), so they stay out of the dense per-page store;
+ * page-keyed state lives in sim::PageArray (simcore/page_array.h).
  *
  * Design goals, in order:
  *
@@ -19,8 +23,7 @@
  *
  * Erased entries leave a tombstone in the slot index (reclaimed on
  * rehash) and push their dense cell onto a free list for reuse, so
- * heavy churn (the PA-Table's insert-until-threshold-then-delete
- * lifecycle) does not grow memory without bound.
+ * heavy promote/splinter churn does not grow memory without bound.
  */
 
 #ifndef GRIT_SIMCORE_FLAT_MAP_H_

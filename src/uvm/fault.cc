@@ -1,27 +1,45 @@
 #include "uvm/fault.h"
 
+#include <cassert>
+
 namespace grit::uvm {
 
 sim::Cycle
 FaultCoalescer::inflight(sim::GpuId gpu, sim::PageId page, sim::Cycle now)
 {
-    const std::uint64_t k = key(gpu, page);
-    auto it = inflight_.find(k);
-    if (it == inflight_.end())
+    assert(gpu >= 0);
+    const auto g = static_cast<std::size_t>(gpu);
+    if (g >= inflight_.size())
         return sim::kCycleMax;
-    if (it->second <= now) {
-        inflight_.erase(it);  // episode finished; next fault is fresh
+    const sim::Cycle *completion = inflight_[g].find(page);
+    if (completion == nullptr)
+        return sim::kCycleMax;
+    if (*completion <= now) {
+        inflight_[g].erase(page);  // episode finished; next fault is fresh
         return sim::kCycleMax;
     }
     ++coalesced_;
-    return it->second;
+    return *completion;
 }
 
 void
 FaultCoalescer::record(sim::GpuId gpu, sim::PageId page,
                        sim::Cycle completion)
 {
-    inflight_[key(gpu, page)] = completion;
+    assert(gpu >= 0);
+    const auto g = static_cast<std::size_t>(gpu);
+    if (g >= inflight_.size())
+        inflight_.resize(g + 1);
+    inflight_[g][page] = completion;
+}
+
+std::size_t
+FaultCoalescer::size() const
+{
+    std::size_t n = 0;
+    for (const auto &episodes : inflight_)
+        n += episodes.size();
+    return n;
 }
 
 void

@@ -14,8 +14,9 @@
 #define GRIT_UVM_FAULT_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
+#include "simcore/page_array.h"
 #include "simcore/types.h"
 
 namespace grit::uvm {
@@ -44,14 +45,13 @@ class FaultCoalescer
 
     void reset();
 
-  private:
-    static std::uint64_t
-    key(sim::GpuId gpu, sim::PageId page)
-    {
-        return (page << 8) | static_cast<std::uint64_t>(gpu & 0xFF);
-    }
+    /** Episodes currently recorded (finished ones linger until the
+     *  next fault on their page erases them). */
+    std::size_t size() const;
 
-    std::unordered_map<std::uint64_t, sim::Cycle> inflight_;
+  private:
+    /** Per-GPU completion time of each page's latest episode. */
+    std::vector<sim::PageArray<sim::Cycle>> inflight_;
     std::uint64_t coalesced_ = 0;
 };
 

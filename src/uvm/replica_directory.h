@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "simcore/flat_map.h"
+#include "simcore/page_array.h"
 #include "simcore/types.h"
 
 namespace grit::sim {
@@ -27,12 +27,14 @@ namespace grit::uvm {
 /** Residency record of one virtual page. */
 struct PageInfo
 {
-    /** Processor holding the authoritative copy. */
-    sim::GpuId owner = sim::kHostId;
+    // The vectors come first so the record packs into 56 bytes.
+
     /** GPUs holding read-only duplication replicas (never the owner). */
     std::vector<sim::GpuId> replicas;
     /** GPUs holding remote translations to the owner's copy. */
     std::vector<sim::GpuId> remoteMappers;
+    /** Processor holding the authoritative copy. */
+    sim::GpuId owner = sim::kHostId;
     /** Page has been touched by some GPU at least once. */
     bool touched = false;
     /**
@@ -89,13 +91,12 @@ class ReplicaDirectory
 
     std::size_t size() const { return pages_.size(); }
 
-    /** Page-record storage: open-addressing flat map. */
-    using PageMap = sim::FlatMap<sim::PageId, PageInfo>;
+    /** Page-record storage: a dense page-indexed array. */
+    using PageMap = sim::PageArray<PageInfo>;
 
     /**
-     * All page records, for cross-layer audits (read-only). Iteration
-     * order is deterministic (a pure function of the operation
-     * sequence), so audit findings are reproducible run-to-run.
+     * All page records, for cross-layer audits (read-only), in
+     * ascending page order.
      */
     const PageMap &pages() const { return pages_; }
 

@@ -77,11 +77,19 @@ genBfs(const WorkloadParams &params, std::uint64_t pages,
             tb.randomAccesses(g, wave, 1000, /*write_prob=*/0.0);
             // Hot private frontier state: the visited/level arrays are
             // read-only pages; a small output queue takes the writes
-            // (Fig. 9: BFS accesses overwhelmingly hit read pages).
+            // (Fig. 9: BFS accesses overwhelmingly hit read pages). At
+            // tiny footprints a one-page slice holds both arrays, and a
+            // GPU with an empty slice keeps no private state.
             const Region mine = frontier.slice(g, params.numGpus);
-            const Region visited{mine.firstPage, mine.pages * 4 / 5};
-            const Region queue{visited.endPage(),
-                               mine.pages - visited.pages};
+            if (mine.pages == 0)
+                continue;
+            const Region visited{
+                mine.firstPage,
+                std::max<std::uint64_t>(1, mine.pages * 4 / 5)};
+            const Region queue =
+                mine.pages > visited.pages
+                    ? Region{visited.endPage(), mine.pages - visited.pages}
+                    : visited;
             tb.randomAccesses(g, visited, 5000, /*write_prob=*/0.0);
             tb.randomAccesses(g, queue, 500, /*write_prob=*/0.5);
         }

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
+
+#include "simcore/sim_error.h"
 
 namespace grit::workload {
 
@@ -83,7 +86,10 @@ void
 TraceBuilder::randomAccesses(unsigned gpu, const Region &region,
                              std::uint64_t count, double write_prob)
 {
-    assert(region.pages > 0);
+    if (region.pages == 0)
+        throw sim::SimException(sim::ErrorCode::kTraceLoad,
+                                "random accesses over an empty region",
+                                "page " + std::to_string(region.firstPage));
     for (std::uint64_t i = 0; i < count; ++i) {
         const sim::PageId p = region.firstPage + rng_.below(region.pages);
         touch(gpu, p, rng_.chance(write_prob));

@@ -100,6 +100,8 @@ class TraceBuilder
      * Uniform random accesses by @p gpu within @p region.
      * @param count      number of accesses.
      * @param write_prob write probability per access.
+     * @throws sim::SimException (kTraceLoad) when @p region is empty,
+     *         in every build type.
      */
     void randomAccesses(unsigned gpu, const Region &region,
                         std::uint64_t count, double write_prob);
@@ -128,7 +130,7 @@ class TraceBuilder
  * Production-scale synthetic workload for the million-page
  * `perf_hotpath` cell (docs/WORKLOADS.md): per-GPU private slices are
  * swept sequentially (every page becomes resident, stressing the
- * flat_map page tables at full footprint) and re-touched uniformly at
+ * per-page tables at full footprint) and re-touched uniformly at
  * random (calendar-queue churn), while a small shared region adds
  * cross-GPU read traffic through the replica directory.
  */

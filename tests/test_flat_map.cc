@@ -1,7 +1,7 @@
 /** @file Tests for sim::FlatMap, the open-addressing table behind the
- *  simulator's hot-path maps: lookup/insert/erase semantics, tombstone
- *  reuse, rehash survival, pointer stability, and the deterministic
- *  iteration order the audit and JSON layers rely on. */
+ *  region-keyed huge-page state: lookup/insert/erase semantics,
+ *  tombstone reuse, rehash survival, pointer stability, and the
+ *  deterministic iteration order promotion splintering relies on. */
 
 #include <gtest/gtest.h>
 
@@ -168,8 +168,9 @@ TEST(FlatMap, MatchesUnorderedMapUnderRandomChurn)
             const int *v = map.find(key);
             const auto it = reference.find(key);
             ASSERT_EQ(v != nullptr, it != reference.end()) << key;
-            if (v != nullptr)
+            if (v != nullptr) {
                 EXPECT_EQ(*v, it->second);
+            }
         }
         }
         ASSERT_EQ(map.size(), reference.size());

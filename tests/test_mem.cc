@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
+
 #include "mem/access_counter.h"
 #include "mem/data_cache.h"
 #include "mem/dram_manager.h"
 #include "mem/page_table.h"
 #include "mem/page_walk_cache.h"
 #include "mem/tlb.h"
+#include "simcore/rng.h"
 
 namespace grit::mem {
 namespace {
@@ -326,6 +330,221 @@ TEST(DramManager, KindOfResidentPage)
     DramManager dram(0);
     dram.insert(9, FrameKind::kReplica);
     EXPECT_EQ(dram.kindOf(9), FrameKind::kReplica);
+}
+
+/**
+ * Reference model of DramManager's LRU: the std::list + hash-map
+ * implementation it replaced, with the same pinned-region victim rule.
+ */
+class ListLru
+{
+  public:
+    ListLru(std::uint64_t capacity, std::uint64_t pages_per_region)
+        : capacity_(capacity), perRegion_(pages_per_region)
+    {
+    }
+
+    std::optional<Eviction>
+    insert(sim::PageId page, FrameKind kind)
+    {
+        std::optional<Eviction> victim;
+        if (capacity_ != 0 && map_.size() >= capacity_)
+            victim = evict();
+        lru_.push_front(Eviction{page, kind});
+        map_[page] = lru_.begin();
+        account(lru_.front(), +1);
+        return victim;
+    }
+
+    void
+    touch(sim::PageId page)
+    {
+        const auto it = map_.find(page);
+        if (it != map_.end())
+            lru_.splice(lru_.begin(), lru_, it->second);
+    }
+
+    bool
+    erase(sim::PageId page)
+    {
+        const auto it = map_.find(page);
+        if (it == map_.end())
+            return false;
+        account(*it->second, -1);
+        lru_.erase(it->second);
+        map_.erase(it);
+        return true;
+    }
+
+    void
+    setKind(sim::PageId page, FrameKind kind)
+    {
+        Eviction &frame = *map_.at(page);
+        account(frame, -1);
+        frame.kind = kind;
+        account(frame, +1);
+    }
+
+    std::optional<Eviction>
+    evictLru()
+    {
+        if (lru_.empty())
+            return std::nullopt;
+        return evict();
+    }
+
+    bool resident(sim::PageId page) const { return map_.count(page) != 0; }
+    std::uint64_t ownedIn(sim::PageId region) const
+    {
+        const auto it = owned_.find(region);
+        return it == owned_.end() ? 0 : it->second;
+    }
+
+    std::vector<Eviction> frames() const { return {lru_.begin(), lru_.end()}; }
+
+    std::unordered_map<sim::PageId, bool> pinned;
+    std::uint64_t evictions = 0;
+    std::uint64_t replicas = 0;
+
+  private:
+    Eviction
+    evict()
+    {
+        auto victim = std::prev(lru_.end());
+        if (perRegion_ > 1) {
+            for (auto it = lru_.end(); it != lru_.begin();) {
+                --it;
+                if (!pinned[it->page / perRegion_]) {
+                    victim = it;
+                    break;
+                }
+            }
+        }
+        const Eviction out = *victim;
+        account(out, -1);
+        map_.erase(out.page);
+        lru_.erase(victim);
+        ++evictions;
+        return out;
+    }
+
+    void
+    account(const Eviction &frame, int delta)
+    {
+        if (frame.kind == FrameKind::kReplica)
+            replicas += delta;
+        else if (perRegion_ > 1)
+            owned_[frame.page / perRegion_] += delta;
+    }
+
+    std::uint64_t capacity_;
+    std::uint64_t perRegion_;
+    std::list<Eviction> lru_;
+    std::unordered_map<sim::PageId, std::list<Eviction>::iterator> map_;
+    std::unordered_map<sim::PageId, std::uint64_t> owned_;
+};
+
+void
+expectSameFrames(const std::vector<Eviction> &got,
+                 const std::vector<Eviction> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].page, want[i].page) << "frame " << i;
+        EXPECT_EQ(got[i].kind, want[i].kind) << "frame " << i;
+    }
+}
+
+void
+expectSameVictim(const std::optional<Eviction> &got,
+                 const std::optional<Eviction> &want)
+{
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (got) {
+        EXPECT_EQ(got->page, want->page);
+        EXPECT_EQ(got->kind, want->kind);
+    }
+}
+
+/** Drive DramManager and the list model with one seeded op stream. */
+void
+checkAgainstListModel(std::uint64_t capacity, std::uint64_t per_region,
+                      std::uint64_t seed)
+{
+    DramManager dram(capacity);
+    dram.configureRegions(per_region);
+    ListLru model(capacity, per_region);
+    sim::Rng rng(seed);
+    const std::uint64_t pages = 300;
+    for (int i = 0; i < 20000; ++i) {
+        const sim::PageId page = rng.below(pages);
+        const FrameKind kind =
+            rng.chance(0.3) ? FrameKind::kReplica : FrameKind::kOwned;
+        switch (rng.below(per_region > 1 ? 7 : 5)) {
+          case 0:
+          case 1:
+            if (!model.resident(page))
+                expectSameVictim(dram.insert(page, kind),
+                                 model.insert(page, kind));
+            break;
+          case 2:
+            dram.touch(page);
+            model.touch(page);
+            break;
+          case 3:
+            if (rng.chance(0.2)) {
+                expectSameVictim(dram.evictLru(), model.evictLru());
+            } else {
+                EXPECT_EQ(dram.erase(page), model.erase(page));
+            }
+            break;
+          case 4:
+            if (model.resident(page)) {
+                dram.setKind(page, kind);
+                model.setKind(page, kind);
+            }
+            break;
+          default: {
+            const sim::PageId region = page / per_region;
+            const bool pin = rng.chance(0.5);
+            if (pin)
+                dram.pinRegion(region);
+            else
+                dram.unpinRegion(region);
+            model.pinned[region] = pin;
+            EXPECT_EQ(dram.regionPinned(region), pin);
+          }
+        }
+        ASSERT_EQ(dram.size(), model.frames().size()) << "op " << i;
+        EXPECT_EQ(dram.evictions(), model.evictions);
+        EXPECT_EQ(dram.replicaCount(), model.replicas);
+        if (per_region > 1) {
+            EXPECT_EQ(dram.ownedInRegion(page / per_region),
+                      model.ownedIn(page / per_region));
+        }
+        if (i % 97 == 0) {
+            expectSameFrames(dram.frames(), model.frames());
+        }
+    }
+    expectSameFrames(dram.frames(), model.frames());
+}
+
+TEST(DramManager, MatchesTheListModelWithoutRegions)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        checkAgainstListModel(/*capacity=*/64, /*per_region=*/1, seed);
+        checkAgainstListModel(/*capacity=*/0, /*per_region=*/1, seed);
+    }
+}
+
+TEST(DramManager, MatchesTheListModelWithPinnedRegions)
+{
+    for (std::uint64_t seed : {4u, 5u, 6u}) {
+        SCOPED_TRACE(seed);
+        checkAgainstListModel(/*capacity=*/64, /*per_region=*/8, seed);
+        checkAgainstListModel(/*capacity=*/16, /*per_region=*/4, seed);
+    }
 }
 
 // --------------------------------------------------------- AccessCounterTable

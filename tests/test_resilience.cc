@@ -321,7 +321,9 @@ TEST(RunJournalFile, ConcurrentAppendsFromManyThreads)
                        << t << std::setw(8) << i;
                     entry.fingerprint = fp.str();
                     entry.row = "GEMM";
-                    entry.label = "w" + std::to_string(t);
+                    std::ostringstream label;
+                    label << 'w' << t;
+                    entry.label = label.str();
                     entry.status = "ok";
                     entry.hasResult = true;
                     entry.result.cycles = t * 1000ull + i;

@@ -90,8 +90,9 @@ TEST(GeneratedTraceStream, ChunksAreFramedAndIndexed)
     while (ChunkHandle chunk = stream.next()) {
         EXPECT_EQ(chunk->index, index);
         EXPECT_EQ(chunk->firstAccess, index * 100);
-        if (seen + chunk->accesses.size() < w.traces[0].size())
+        if (seen + chunk->accesses.size() < w.traces[0].size()) {
             EXPECT_EQ(chunk->accesses.size(), 100u);  // only last is short
+        }
         seen += chunk->accesses.size();
         ++index;
     }

@@ -35,6 +35,20 @@ TEST(FaultCoalescer, ExpiresAfterCompletion)
     EXPECT_EQ(c.coalesced(), 0u);
 }
 
+TEST(FaultCoalescer, ExpiredEpisodeIsErasedAndTheNextFaultStartsFresh)
+{
+    FaultCoalescer c;
+    c.record(1, 7, 100);
+    EXPECT_EQ(c.size(), 1u);
+    EXPECT_EQ(c.inflight(1, 7, 100), sim::kCycleMax);  // finished
+    EXPECT_EQ(c.size(), 0u);  // the expired episode is gone
+    EXPECT_EQ(c.inflight(1, 7, 50), sim::kCycleMax);  // not resurrected
+    c.record(1, 7, 300);
+    EXPECT_EQ(c.inflight(1, 7, 200), 300u);
+    EXPECT_EQ(c.coalesced(), 1u);
+    EXPECT_EQ(c.size(), 1u);
+}
+
 TEST(FaultCoalescer, DistinctGpusAndPagesAreIndependent)
 {
     FaultCoalescer c;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "simcore/sim_error.h"
 #include "workload/apps.h"
 #include "workload/characterizer.h"
 #include "workload/dnn.h"
@@ -71,6 +72,13 @@ TEST(TraceBuilder, WriteProbabilityRespected)
     EXPECT_NEAR(static_cast<double>(writes) / 4000.0, 0.5, 0.05);
 }
 
+TEST(TraceBuilder, RandomAccessesRejectAnEmptyRegion)
+{
+    TraceBuilder tb(1, 2);
+    EXPECT_THROW(tb.randomAccesses(0, Region{8, 0}, 10, 0.5),
+                 sim::SimException);
+}
+
 TEST(TraceBuilder, StridedPassVisitsStrideOffsets)
 {
     TraceBuilder tb(1, 3);
@@ -127,6 +135,21 @@ TEST_P(AllApps, AddressesStayInsideFootprint)
     for (const GpuTrace &trace : w.traces)
         for (const Access &a : trace)
             ASSERT_LT(a.addr, w.footprintBytes());
+}
+
+TEST_P(AllApps, AddressesStayInsideFootprintAtEveryDivisor)
+{
+    // Large divisors shrink a footprint to a handful of pages, where a
+    // per-GPU slice can be one page or empty.
+    for (unsigned divisor : {16u, 128u, 512u, 1024u}) {
+        SCOPED_TRACE(divisor);
+        WorkloadParams p = params_;
+        p.footprintDivisor = divisor;
+        const Workload w = makeWorkload(GetParam(), p);
+        for (const GpuTrace &trace : w.traces)
+            for (const Access &a : trace)
+                ASSERT_LT(a.addr / kGenPageBytes, w.footprintGenPages);
+    }
 }
 
 TEST_P(AllApps, DeterministicForSameSeed)
