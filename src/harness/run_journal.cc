@@ -10,22 +10,13 @@
 #include <unistd.h>
 
 #include "simcore/log.h"
+#include "simcore/rng.h"
 #include "stats/timeline.h"
 #include "workload/apps.h"
 
 namespace grit::harness {
 
 namespace {
-
-/** splitmix64 finalizer: the repo's standard stateless mixer. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 /** Running digest: order-sensitive fold of 64-bit words. */
 class Digest
@@ -34,7 +25,7 @@ class Digest
     void
     word(std::uint64_t v)
     {
-        state_ = mix64(state_ ^ mix64(v));
+        state_ = sim::mix64(state_ ^ sim::mix64(v));
     }
     void word(double v) { word(std::bit_cast<std::uint64_t>(v)); }
     void word(bool v) { word(std::uint64_t{v}); }

@@ -8,27 +8,18 @@
 #include <unistd.h>
 
 #include "service/socket.h"
+#include "simcore/rng.h"
 
 namespace grit::service {
 
 namespace {
-
-/** splitmix64 finalizer (the repo's standard stateless mixer). */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 std::uint64_t
 keyHash(const std::string &key)
 {
     std::uint64_t h = 0x6a09e667f3bcc908ULL;
     for (const char c : key)
-        h = mix64(h ^ static_cast<unsigned char>(c));
+        h = sim::mix64(h ^ static_cast<unsigned char>(c));
     return h;
 }
 
@@ -50,7 +41,7 @@ backoffDelayMs(const std::string &key, unsigned attempt,
     // half from (key, attempt) so identical schedules decorrelate.
     const std::uint64_t half = delay / 2;
     const std::uint64_t jitter =
-        half == 0 ? 0 : mix64(keyHash(key) ^ attempt) % (half + 1);
+        half == 0 ? 0 : sim::mix64(keyHash(key) ^ attempt) % (half + 1);
     return delay - half + jitter;
 }
 

@@ -4,19 +4,11 @@
 #include <sstream>
 #include <string_view>
 
+#include "simcore/rng.h"
+
 namespace grit::sim {
 
 namespace {
-
-/** splitmix64 finalizer: the stateless core of every chaos decision. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 /** Clause stream ids; spread apart so per-link offsets never collide. */
 constexpr std::uint64_t kStreamLinkFlap = 1ULL << 32;

@@ -14,6 +14,21 @@
 
 namespace grit::sim {
 
+/**
+ * splitmix64's output step: add the golden-ratio increment, then
+ * finalize. The repo's one stateless mixer (run fingerprints, record
+ * sampling, chaos decisions, client backoff jitter, Rng seeding).
+ * mix64(0) == 0xE220A8397B1DCDAF.
+ */
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
 /** xoshiro256** by Blackman & Vigna (public domain reference algorithm). */
 class Rng
 {

@@ -357,6 +357,13 @@ TEST(EventQueue, StressMatchesReferenceHeapOrdering)
 
 // ----------------------------------------------------------------------- Rng
 
+TEST(Rng, Mix64MatchesSplitmix64)
+{
+    // The first two outputs of the splitmix64 reference from state 0.
+    EXPECT_EQ(mix64(0), 0xE220A8397B1DCDAFULL);
+    EXPECT_EQ(mix64(0x9E3779B97F4A7C15ULL), 0x6E789E6AA1B965F4ULL);
+}
+
 TEST(Rng, DeterministicForSameSeed)
 {
     Rng a(123), b(123);
