@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <string>
+#include <utility>
 
 namespace grit::gpu {
 
@@ -112,33 +113,24 @@ Gpu::fillTlbs(unsigned lane, sim::PageId page)
     assert(lane < config_.lanes);
     const sim::PageId key = translationKey(page);
     l1Tlbs_[lane].insert(key);
-    const std::uint64_t bit = std::uint64_t{1} << (lane & 63);
-    if (mem::isHugeKey(key)) {
-        hugeL1Holders_[key] |= bit;
-    } else {
-        L1Holders &holders = l1Holders_[key];
-        if (holders.epoch != flushEpoch_)
-            holders = L1Holders{0, flushEpoch_};
-        holders.lanes |= bit;
-    }
+    L1Holders &holders = mem::isHugeKey(key)
+                             ? hugeL1Holders_[mem::hugeKeyRegion(key)]
+                             : l1Holders_[key];
+    if (holders.epoch != flushEpoch_)
+        holders = L1Holders{0, flushEpoch_};
+    holders.lanes |= std::uint64_t{1} << (lane & 63);
     l2Tlb_.insert(key);
 }
 
 std::uint64_t
 Gpu::takeL1Holders(sim::PageId key)
 {
-    std::uint64_t lanes = 0;
-    if (mem::isHugeKey(key)) {
-        if (const std::uint64_t *mask = hugeL1Holders_.find(key)) {
-            lanes = *mask;
-            hugeL1Holders_.erase(key);
-        }
-    } else if (L1Holders *holders = l1Holders_.find(key);
-               holders != nullptr && holders->epoch == flushEpoch_) {
-        lanes = holders->lanes;
-        holders->lanes = 0;
-    }
-    return lanes;
+    L1Holders *holders = mem::isHugeKey(key)
+                             ? hugeL1Holders_.find(mem::hugeKeyRegion(key))
+                             : l1Holders_.find(key);
+    if (holders == nullptr || holders->epoch != flushEpoch_)
+        return 0;
+    return std::exchange(holders->lanes, 0);
 }
 
 void
@@ -195,7 +187,6 @@ Gpu::flushForInvalidation(sim::Cycle now, sim::Cycle drain_cycles)
         tlb.flushAll();
     // The flush emptied every L1: retire every holder mask at once.
     ++flushEpoch_;
-    hugeL1Holders_.clear();
     l2Tlb_.flushAll();
     l2Cache_.flushAll();
     gmmu_.flushWalkCache();

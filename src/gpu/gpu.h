@@ -24,7 +24,6 @@
 #include "mem/page_geometry.h"
 #include "mem/page_table.h"
 #include "mem/tlb.h"
-#include "simcore/flat_map.h"
 #include "simcore/page_array.h"
 #include "simcore/resource.h"
 #include "simcore/types.h"
@@ -146,8 +145,8 @@ class Gpu
     /** Live huge mappings (audit reconciliation). */
     std::uint64_t hugeMappingCount() const { return hugeRegions_.size(); }
 
-    /** Deterministic view of the promoted regions (audit use). */
-    const sim::FlatMap<sim::PageId, unsigned char> &
+    /** The promoted regions in ascending order (audit use). */
+    const sim::PageArray<unsigned char> &
     hugeRegions() const
     {
         return hugeRegions_;
@@ -238,10 +237,10 @@ class Gpu
      * without changing any TLB state transition. False positives only
      * cost a scan; false negatives cannot happen.
      *
-     * Base-page keys live in a page-indexed array whose masks count
-     * only while their epoch equals flushEpoch_, so a full flush is one
-     * increment instead of freeing and regrowing the array. Huge keys
-     * (few, and outside the dense page range) keep a small map.
+     * Base-page keys index l1Holders_ by page and huge keys index
+     * hugeL1Holders_ by region. A mask counts only while its epoch
+     * equals flushEpoch_, so a full flush is one increment instead of
+     * freeing and regrowing the arrays.
      */
     struct L1Holders
     {
@@ -249,7 +248,7 @@ class Gpu
         std::uint64_t epoch = 0;
     };
     sim::PageArray<L1Holders> l1Holders_;
-    sim::FlatMap<sim::PageId, std::uint64_t> hugeL1Holders_;
+    sim::PageArray<L1Holders> hugeL1Holders_;
     std::uint64_t flushEpoch_ = 0;
     mem::Tlb l2Tlb_;
     Gmmu gmmu_;
@@ -263,7 +262,7 @@ class Gpu
     mem::PageTable pageTable_;
 
     /** Regions this GPU currently maps huge (value unused). */
-    sim::FlatMap<sim::PageId, unsigned char> hugeRegions_;
+    sim::PageArray<unsigned char> hugeRegions_;
 
     std::uint64_t flushes_ = 0;
 };

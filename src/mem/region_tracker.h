@@ -14,10 +14,12 @@
 #ifndef GRIT_MEM_REGION_TRACKER_H_
 #define GRIT_MEM_REGION_TRACKER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "mem/page_geometry.h"
-#include "simcore/flat_map.h"
+#include "simcore/page_array.h"
 #include "simcore/types.h"
 
 namespace grit::mem {
@@ -58,15 +60,20 @@ class RegionTracker
     std::uint32_t
     noteRegionFault(sim::GpuId gpu, sim::PageId region)
     {
-        return ++heat_[heatKey(gpu, region)];
+        std::vector<std::uint32_t> &row = heat_[region];
+        const std::size_t slot = heatSlot(gpu);
+        if (row.size() <= slot)
+            row.resize(slot + 1, 0);
+        return ++row[slot];
     }
 
     /** Faults @p gpu has taken in @p region so far. */
     std::uint32_t
     regionFaults(sim::GpuId gpu, sim::PageId region) const
     {
-        const std::uint32_t *n = heat_.find(heatKey(gpu, region));
-        return n != nullptr ? *n : 0;
+        const std::vector<std::uint32_t> *row = heat_.find(region);
+        const std::size_t slot = heatSlot(gpu);
+        return row != nullptr && slot < row->size() ? (*row)[slot] : 0;
     }
 
     bool
@@ -101,16 +108,15 @@ class RegionTracker
         // a fresh promoteFaultThreshold faults, or a single straggler
         // fault after a write-sharing splinter would ping-pong the
         // region between promoted and base state.
-        for (std::uint64_t slot = 0; slot < 64; ++slot)
-            heat_.erase((region << 6) | slot);
+        heat_.erase(region);
     }
 
     /** Regions currently promoted (== promotions() - splinters()). */
     std::uint64_t promotedCount() const { return promoted_.size(); }
 
-    /** Deterministic view of (region, holder) pairs, for audits and
-     *  splinter storms. */
-    const sim::FlatMap<sim::PageId, sim::GpuId> &
+    /** (region, holder) pairs in ascending region order, for audits
+     *  and splinter storms. */
+    const sim::PageArray<sim::GpuId> &
     promotedRegions() const
     {
         return promoted_;
@@ -127,18 +133,20 @@ class RegionTracker
     }
 
   private:
-    /** One heat key per (gpu, region); +2 keeps kHostId/kNoGpu >= 0. */
-    static std::uint64_t
-    heatKey(sim::GpuId gpu, sim::PageId region)
+    /** @p gpu's slot in a region's heat row; +2 keeps kHostId/kNoGpu
+     *  >= 0. */
+    static std::size_t
+    heatSlot(sim::GpuId gpu)
     {
-        return (region << 6) | (static_cast<std::uint64_t>(gpu + 2) & 63);
+        return static_cast<std::size_t>(gpu + 2);
     }
 
     bool enabled_ = false;
     std::uint64_t pagesPerRegion_ = 1;
 
-    sim::FlatMap<std::uint64_t, std::uint32_t> heat_;
-    sim::FlatMap<sim::PageId, sim::GpuId> promoted_;
+    /** Per-region fault counts, one row slot per GPU (heatSlot). */
+    sim::PageArray<std::vector<std::uint32_t>> heat_;
+    sim::PageArray<sim::GpuId> promoted_;
 
     std::uint64_t promotions_ = 0;
     std::uint64_t promotedPages_ = 0;

@@ -2,8 +2,10 @@
  * @file
  * Dense per-page storage: the one container behind the simulator's
  * page-keyed state (mem::PageTable, uvm::ReplicaDirectory,
- * core::PaTable, uvm::FaultCoalescer, the GPU's L1 holder filter,
- * mem::AccessCounterTable and mem::DramManager's LRU links).
+ * core::PaTable, uvm::FaultCoalescer, the GPU's L1 holder filters,
+ * mem::AccessCounterTable and mem::DramManager's LRU links) and its
+ * region-keyed huge-page state (mem::RegionTracker, the GPU's huge
+ * mappings, mem::DramManager's regions).
  *
  * Workload regions are allocated from page 0 upwards, so page ids are
  * small, dense integers and a page's slot is found by indexing, not

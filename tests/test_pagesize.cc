@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "gpu/gpu.h"
 #include "harness/experiment.h"
 #include "harness/invariant_auditor.h"
 #include "mem/dram_manager.h"
@@ -216,6 +218,78 @@ TEST(RegionTracker, LedgerAndHeat)
     // Splintering drops the heat: re-promotion needs fresh evidence.
     EXPECT_EQ(tracker.regionFaults(0, 5), 0u);
     EXPECT_EQ(tracker.regionFaults(1, 5), 0u);
+}
+
+TEST(RegionTracker, HeatIsPerGpuBeyondSixtyFourGpus)
+{
+    mem::PageGeometry geo;
+    geo.hugePages = true;
+    mem::RegionTracker tracker(geo);
+    EXPECT_EQ(tracker.noteRegionFault(0, 3), 1u);
+    EXPECT_EQ(tracker.noteRegionFault(64, 3), 1u);
+    EXPECT_EQ(tracker.noteRegionFault(64, 3), 2u);
+    EXPECT_EQ(tracker.regionFaults(0, 3), 1u);
+    EXPECT_EQ(tracker.regionFaults(64, 3), 2u);
+    EXPECT_EQ(tracker.regionFaults(sim::kHostId, 3), 0u);
+    EXPECT_EQ(tracker.noteRegionFault(sim::kHostId, 3), 1u);
+    EXPECT_EQ(tracker.regionFaults(0, 3), 1u);
+}
+
+TEST(RegionTracker, PromotedRegionsIterateInAscendingOrder)
+{
+    mem::PageGeometry geo;
+    geo.hugePages = true;
+    mem::RegionTracker tracker(geo);
+    for (const sim::PageId region : {900, 7, 4000, 42, 8})
+        tracker.markPromoted(region, static_cast<sim::GpuId>(region % 3));
+    tracker.markSplintered(42, mem::SplinterReason::kChaos);
+
+    std::vector<sim::PageId> order;
+    for (const auto &[region, holder] : tracker.promotedRegions()) {
+        EXPECT_EQ(holder, static_cast<sim::GpuId>(region % 3));
+        order.push_back(region);
+    }
+    EXPECT_EQ(order, (std::vector<sim::PageId>{7, 8, 900, 4000}));
+}
+
+/** True when @p tlb holds a live translation for @p key. */
+bool
+tlbHolds(const mem::Tlb &tlb, sim::PageId key)
+{
+    const std::vector<sim::PageId> live = tlb.livePages();
+    return std::find(live.begin(), live.end(), key) != live.end();
+}
+
+TEST(HugeTlb, SplinterAfterFlushShootsDownEveryLane)
+{
+    mem::PageGeometry geo;
+    geo.hugePages = true;
+    geo.hugeSize = 16 * 1024;  // 4 base pages per region
+    gpu::GpuConfig config;
+    config.lanes = 2;
+    gpu::Gpu gpu(0, config, geo);
+    const sim::PageId region = 3;
+    const sim::PageId key = mem::hugeKey(region);
+    const sim::PageId page = geo.regionFirstPage(region) + 1;
+
+    gpu.promoteRegion(region);
+    gpu.fillTlbs(0, page);
+    gpu.fillTlbs(1, page);
+    ASSERT_TRUE(tlbHolds(gpu.l1Tlbs()[0], key));
+    ASSERT_TRUE(tlbHolds(gpu.l1Tlbs()[1], key));
+
+    // The flush retires both lanes' holder bits; the refill through
+    // lane 1 must still be recorded, or the splinter misses it.
+    gpu.flushForInvalidation(0, 0);
+    gpu.fillTlbs(1, page);
+    ASSERT_FALSE(tlbHolds(gpu.l1Tlbs()[0], key));
+    ASSERT_TRUE(tlbHolds(gpu.l1Tlbs()[1], key));
+
+    gpu.splinterRegion(region);
+    EXPECT_FALSE(gpu.hugeMapped(region));
+    EXPECT_FALSE(tlbHolds(gpu.l1Tlbs()[0], key));
+    EXPECT_FALSE(tlbHolds(gpu.l1Tlbs()[1], key));
+    EXPECT_FALSE(tlbHolds(gpu.l2Tlb(), key));
 }
 
 // --------------------------------------------- driver promote/splinter
