@@ -149,7 +149,7 @@ struct BenchArgs
     /** Which flag set a binary registers. */
     enum class Kind
     {
-        kReport,  //!< `--json` only (characterizers, perf_hotpath)
+        kReport,  //!< `--json` only (the characterizers)
         kSweep,   //!< `--json` plus every sweep flag
     };
 

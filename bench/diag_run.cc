@@ -69,7 +69,6 @@ run(const grit::bench::BenchArgs &args, const std::string &appName,
 
     const auto params = grit::bench::benchParams();
     harness::SystemConfig config = harness::makeConfig(*kind, 4);
-    config.timeline = true;
     config.timelineIntervalCycles = stats::kDefaultTimelineIntervalCycles;
     // The recorder is not thread-safe; this one-cell plan gives it to
     // exactly one Simulator.

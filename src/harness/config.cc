@@ -140,9 +140,6 @@ SystemConfig::validate() const
                 "grit.paCache");
     }
 
-    if (timeline && timelineIntervalCycles == 0)
-        bad("the timeline is enabled but its interval is 0",
-            "timelineIntervalCycles");
     if (!audit && auditIntervalCycles != 0)
         bad("auditIntervalCycles is set but audit is disabled", "audit");
 

@@ -107,12 +107,9 @@ struct SystemConfig
      */
     sim::TraceRecorder *trace = nullptr;
 
-    /** Sample the per-run event timeline ("timeline" in the JSON). */
-    bool timeline = false;
-
     /**
-     * Window width of the event timeline. Must be non-zero when
-     * timeline is enabled (validate() rejects the combination).
+     * Window width of the per-run event timeline ("timeline" in the
+     * JSON); 0 samples none.
      */
     sim::Cycle timelineIntervalCycles = 0;
 

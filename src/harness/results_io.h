@@ -35,7 +35,8 @@ void writeRunResult(stats::ResultSink &sink, const RunResult &result);
 
 /**
  * Write one complete document: envelope, params, and a "runs" array
- * holding every (row, label) cell of @p matrix in map order.
+ * holding every (row, label) cell of @p matrix in map order; that is,
+ * writeSweepResult() with no failures and no stats.
  */
 void writeResultMatrix(std::ostream &os, std::string_view generator,
                        std::string_view title,

@@ -128,7 +128,9 @@ configDigest(const SystemConfig &config)
     d.text(policyKindName(config.policy));
     d.word(config.prefetch);
     d.word(config.maxEvents);
-    d.word(config.timeline);
+    // Redundant with the interval, but part of every persisted
+    // fingerprint: dropping it would orphan existing journals and stores.
+    d.word(config.timelineIntervalCycles > 0);
     d.word(config.timelineIntervalCycles);
     d.word(config.audit);
     d.word(config.auditIntervalCycles);

@@ -86,7 +86,7 @@ struct RunResult
 
     /**
      * Discrete events the queue executed during the run. A host-side
-     * throughput metric (events/sec in bench/perf_hotpath.cc), not a
+     * throughput metric (perfbench's simcore.ns_per_event), not a
      * simulated quantity: deliberately NOT serialized into the
      * grit-results schema or the run journal.
      */

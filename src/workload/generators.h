@@ -127,8 +127,8 @@ class TraceBuilder
 };
 
 /**
- * Production-scale synthetic workload for the million-page
- * `perf_hotpath` cell (docs/WORKLOADS.md): per-GPU private slices are
+ * Production-scale synthetic workload for perfbench's
+ * `million_pages` cell (docs/WORKLOADS.md): per-GPU private slices are
  * swept sequentially (every page becomes resident, stressing the
  * per-page tables at full footprint) and re-touched uniformly at
  * random (calendar-queue churn), while a small shared region adds

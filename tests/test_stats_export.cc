@@ -225,6 +225,34 @@ TEST(StatsExport, DocumentIsIdenticalForAnyWorkerCount)
         EXPECT_NE(doc1.find(key), std::string::npos) << key;
 }
 
+TEST(StatsExport, SweepWriterMatchesMatrixWriterWithoutExtras)
+{
+    workload::WorkloadParams params;
+    params.footprintDivisor = 512;
+    params.intensity = 0.1;
+    harness::SystemConfig config =
+        harness::makeConfig(harness::PolicyKind::kGrit, 4);
+    config.timelineIntervalCycles = 100'000;
+
+    harness::ResultMatrix matrix;
+    matrix["BFS"]["grit"] =
+        harness::runApp(workload::AppId::kBfs, config, params);
+    harness::RunResult partial = matrix["BFS"]["grit"];
+    partial.partial = true;
+    partial.error.emplace(sim::ErrorCode::kDeadline, "budget exhausted",
+                          "workload BFS");
+    matrix["BFS"]["partial"] = partial;
+    matrix["FIR"]["grit"] =
+        harness::runApp(workload::AppId::kFir, config, params);
+
+    std::ostringstream sweep;
+    harness::writeSweepResult(sweep, "test", "writers", params, matrix, {});
+    std::ostringstream plain;
+    harness::writeResultMatrix(plain, "test", "writers", params, matrix);
+    EXPECT_NE(sweep.str().find("\"timeline\""), std::string::npos);
+    EXPECT_EQ(sweep.str(), plain.str());
+}
+
 TEST(StatsExport, TimelineCountsFaultsWhenSampling)
 {
     workload::WorkloadParams params;
