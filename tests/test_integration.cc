@@ -8,6 +8,7 @@
 #include "harness/experiment_engine.h"
 #include "workload/apps.h"
 #include "workload/dnn.h"
+#include "workload/generators.h"
 
 namespace grit::harness {
 namespace {
@@ -238,6 +239,26 @@ TEST(Integration, BreakdownCategoriesMatchScheme)
         runApp(workload::AppId::kBs,
                makeConfig(PolicyKind::kAccessCounter, 4), params);
     EXPECT_GT(ac.breakdown.get(stats::LatencyKind::kRemoteAccess), 0u);
+}
+
+TEST(Integration, ScaleCellWalkCacheOverflowIsPinned)
+{
+    // Every GPU's slice of 2^17 pages spans 256 2 MB regions, twice
+    // the 128-entry walk cache, so its eviction order decides which
+    // walks hit. Table II footprints never overflow it; this cell
+    // pins the simulated outcome where they would.
+    workload::ScaleParams sp;
+    sp.pages = std::uint64_t{1} << 19;
+    sp.randomPerGpu = std::uint64_t{1} << 12;
+    sp.sharedPerGpu = std::uint64_t{1} << 10;
+    SystemConfig config = makeConfig(PolicyKind::kGrit, sp.numGpus);
+    config.memoryFraction = 0.0;  // every page stays resident
+    config.pageSizeStats = true;  // exports the pwc.* totals
+    const RunResult result =
+        runWorkload(config, workload::makeScaleWorkload(sp));
+    EXPECT_EQ(result.cycles, 60785715u);
+    EXPECT_EQ(result.counter("pwc.hits"), 1039758u);
+    EXPECT_EQ(result.counter("pwc.misses"), 12869u);
 }
 
 }  // namespace
