@@ -14,12 +14,11 @@ Gmmu::Gmmu(const GmmuConfig &config)
 WalkResult
 Gmmu::walk(sim::PageId page, sim::Cycle now)
 {
-    const unsigned accesses = pwc_.walkAccesses(page);
+    const unsigned accesses = pwc_.walk(page);
     const sim::Cycle service =
         static_cast<sim::Cycle>(accesses) * config_.walkLevelLatency;
     const sim::Cycle completion = walkers_.acquire(now, service);
     pwc_.recordWalk(accesses);
-    pwc_.fill(page);
     if (trace_)
         trace_->record("walk", "gmmu", now, completion - now, gpuId_,
                        page);

@@ -19,7 +19,12 @@
 
 namespace grit::mem {
 
-/** Cache of non-leaf page-table prefixes; fully associative, LRU. */
+/**
+ * Cache of non-leaf page-table prefixes; fully associative, exact LRU
+ * over fills (lookups do not refresh). Every operation is O(1): an
+ * open-addressed index maps a prefix to its slot, and a recency list
+ * threaded through the slots gives the victim.
+ */
 class PageWalkCache
 {
   public:
@@ -36,7 +41,13 @@ class PageWalkCache
     unsigned walkAccesses(sim::PageId page) const;
 
     /** Install all prefixes of @p page after a completed walk. */
-    void fill(sim::PageId page);
+    void fill(sim::PageId page) { walk(page); }
+
+    /**
+     * walkAccesses(@p page) followed by fill(@p page), probing each
+     * prefix once.
+     */
+    unsigned walk(sim::PageId page);
 
     /** Invalidate every entry (full shootdown). */
     void flushAll();
@@ -48,11 +59,15 @@ class PageWalkCache
     void recordWalk(unsigned accesses);
 
   private:
+    /** Slot number meaning "none": an empty index cell, a miss. */
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    /** A cached prefix, linked in recency order. */
     struct Entry
     {
         std::uint64_t key = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
+        std::uint32_t prev = 0;  //!< towards the MRU end
+        std::uint32_t next = 0;  //!< towards the LRU end
     };
 
     /**
@@ -61,11 +76,28 @@ class PageWalkCache
      */
     static std::uint64_t key(sim::PageId page, unsigned level);
 
-    bool contains(std::uint64_t key) const;
-    void touch(std::uint64_t key);
+    /** Index cell where the probe for @p key starts. */
+    std::uint32_t home(std::uint64_t key) const;
+    /** Slot holding @p key, or kNone. */
+    std::uint32_t find(std::uint64_t key) const;
+    /** Put @p key in a free slot, else in the LRU slot's place. */
+    void insert(std::uint64_t key);
+    /** Drop cached @p key from the index (backward-shift delete). */
+    void unindex(std::uint64_t key);
+    void unlink(std::uint32_t slot);
+    void pushMru(std::uint32_t slot);
 
+    /**
+     * Slots 0 .. capacity-1 hold entries, used in order after a flush;
+     * slot `capacity` is the sentinel of the circular recency list.
+     */
     std::vector<Entry> entries_;
-    mutable std::uint64_t tick_ = 0;
+    std::uint32_t capacity_;
+    std::uint32_t used_ = 0;
+    /** Open-addressed key -> slot map, >= 2x capacity cells. */
+    std::vector<std::uint32_t> index_;
+    std::uint32_t mask_;
+    unsigned shift_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };
