@@ -11,9 +11,20 @@ namespace {
 /** Running per-page facts over a whole trace. */
 struct PageFacts
 {
-    std::uint32_t gpuMask = 0;
+    unsigned firstGpu = 0;  //!< GPU of the first access
+    bool shared = false;    //!< a second GPU has touched the page
     std::uint64_t accesses = 0;
     std::uint64_t writes = 0;
+
+    void add(unsigned gpu, bool write)
+    {
+        if (accesses == 0)
+            firstGpu = gpu;
+        else if (gpu != firstGpu)
+            shared = true;
+        accesses += 1;
+        writes += write ? 1 : 0;
+    }
 };
 
 std::unordered_map<sim::PageId, PageFacts>
@@ -21,20 +32,10 @@ collectFacts(const Workload &w)
 {
     std::unordered_map<sim::PageId, PageFacts> facts;
     for (unsigned g = 0; g < w.numGpus(); ++g) {
-        for (const Access &a : w.traces[g]) {
-            PageFacts &f = facts[a.addr / kGenPageBytes];
-            f.gpuMask |= 1u << g;
-            f.accesses += 1;
-            f.writes += a.write ? 1 : 0;
-        }
+        for (const Access &a : w.traces[g])
+            facts[a.addr / kGenPageBytes].add(g, a.write);
     }
     return facts;
-}
-
-bool
-isShared(const PageFacts &f)
-{
-    return (f.gpuMask & (f.gpuMask - 1)) != 0;  // more than one bit set
 }
 
 /** Interval index of access @p i in a trace of @p n accesses. */
@@ -55,7 +56,7 @@ classifyPages(const Workload &w)
     PageClassification out;
     for (const auto &[page, f] : collectFacts(w)) {
         (void)page;
-        if (isShared(f)) {
+        if (f.shared) {
             out.sharedPages += 1;
             out.accessesToShared += f.accesses;
         } else {
@@ -100,11 +101,8 @@ attributesOverTime(const Workload &w, unsigned intervals)
         for (std::size_t i = 0; i < trace.size(); ++i) {
             const std::size_t k =
                 intervalOf(i, trace.size(), intervals);
-            PageFacts &f =
-                per_interval[k][trace[i].addr / kGenPageBytes];
-            f.gpuMask |= 1u << g;
-            f.accesses += 1;
-            f.writes += trace[i].write ? 1 : 0;
+            per_interval[k][trace[i].addr / kGenPageBytes].add(
+                g, trace[i].write);
         }
     }
 
@@ -114,10 +112,9 @@ attributesOverTime(const Workload &w, unsigned intervals)
         for (const auto &[page, f] : per_interval[k]) {
             if (page >= pages)
                 continue;
-            const bool shared = isShared(f);
             const bool wrote = f.writes > 0;
             PageAttr attr;
-            if (shared) {
+            if (f.shared) {
                 attr = wrote ? PageAttr::kSharedReadWrite
                              : PageAttr::kSharedRead;
             } else {
@@ -197,11 +194,13 @@ pickPage(const Workload &w, bool require_write)
     sim::PageId best = 0;
     std::uint64_t best_accesses = 0;
     for (const auto &[page, f] : collectFacts(w)) {
-        if (!isShared(f))
+        if (!f.shared)
             continue;
         if (require_write && f.writes == 0)
             continue;
-        if (f.accesses > best_accesses) {
+        // Ties go to the lowest page id, not to hash order.
+        if (f.accesses > best_accesses ||
+            (f.accesses == best_accesses && page < best)) {
             best_accesses = f.accesses;
             best = page;
         }

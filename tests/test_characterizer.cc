@@ -128,9 +128,48 @@ TEST(Characterizer, PageRwDistribution)
 TEST(Characterizer, SharedPagePickers)
 {
     const Workload w = tinyWorkload();
-    const sim::PageId shared = mostAccessedSharedPage(w);
-    EXPECT_TRUE(shared == 2 || shared == 3);
+    // Pages 2 and 3 tie at two accesses: the lower id wins.
+    EXPECT_EQ(mostAccessedSharedPage(w), 2u);
     EXPECT_EQ(mostAccessedSharedRwPage(w), 3u);
+}
+
+TEST(Characterizer, PickerTiesGoToTheLowestPage)
+{
+    Workload w;
+    w.name = "ties";
+    w.footprintGenPages = 64;
+    w.traces.resize(2);
+    // Shared pages 41, 17, 29 and 23 all take three accesses (one a
+    // write); private page 5 takes more but is not a candidate.
+    for (sim::PageId page : {41, 17, 29, 23}) {
+        w.traces[0].push_back(
+            Access{pageLineAddr(page, 0, kGenPageBytes), true});
+        w.traces[1].push_back(
+            Access{pageLineAddr(page, 1, kGenPageBytes), false});
+        w.traces[1].push_back(
+            Access{pageLineAddr(page, 2, kGenPageBytes), false});
+    }
+    for (int i = 0; i < 8; ++i)
+        w.traces[0].push_back(Access{pageLineAddr(5, 0, kGenPageBytes), false});
+    EXPECT_EQ(mostAccessedSharedPage(w), 17u);
+    EXPECT_EQ(mostAccessedSharedRwPage(w), 17u);
+}
+
+TEST(Characterizer, SharingIsSeenBeyondThirtyTwoGpus)
+{
+    Workload w;
+    w.name = "wide";
+    w.footprintGenPages = 2;
+    w.traces.resize(40);
+    // GPUs 1 and 33 share page 0; GPU 33 alone touches page 1.
+    w.traces[1].push_back(Access{pageLineAddr(0, 0, kGenPageBytes), false});
+    w.traces[33].push_back(Access{pageLineAddr(0, 0, kGenPageBytes), false});
+    w.traces[33].push_back(Access{pageLineAddr(1, 0, kGenPageBytes), false});
+    const auto c = classifyPages(w);
+    EXPECT_EQ(c.sharedPages, 1u);
+    EXPECT_EQ(c.privatePages, 1u);
+    EXPECT_EQ(attributesOverTime(w, 1)[0][0], PageAttr::kSharedRead);
+    EXPECT_EQ(mostAccessedSharedPage(w), 0u);
 }
 
 TEST(Characterizer, PageAttrNames)
