@@ -286,11 +286,25 @@ TEST_P(TopologyPairs, MonotoneInSize)
     }
 }
 
+TEST_P(TopologyPairs, UncontendedTransferTakesTheFlightLatency)
+{
+    // An empty payload on a fresh fabric only propagates: its delivery
+    // is exactly the route's latency.
+    FabricConfig config;
+    config.numGpus = 4;
+    config.kind = std::get<0>(GetParam());
+    const auto [src, dst] = std::get<1>(GetParam());
+    auto fabric = makeTopology(config);
+    EXPECT_EQ(fabric->transfer(0, src, dst, 0),
+              fabric->flightLatency(src, dst));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Pairs, TopologyPairs,
     ::testing::Combine(
         ::testing::ValuesIn(kAllTopologyKinds),
         ::testing::Values(std::make_pair(0, 1), std::make_pair(3, 0),
+                          std::make_pair(0, 2), std::make_pair(1, 3),
                           std::make_pair(sim::kHostId, 2),
                           std::make_pair(2, sim::kHostId))));
 
