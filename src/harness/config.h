@@ -75,8 +75,8 @@ struct SystemConfig
     /**
      * Interconnect model: fabric.kind selects the topology (all-to-all
      * by default; ring, switch, chiplet — docs/TOPOLOGY.md) and the
-     * rest are its parameters. Simulator builds the concrete model via
-     * ic::makeTopology.
+     * rest are its parameters. Simulator builds one ic::Topology from
+     * it.
      */
     ic::FabricConfig fabric{};
     core::GritConfig grit{};

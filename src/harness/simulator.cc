@@ -114,7 +114,7 @@ Simulator::Simulator(const SystemConfig &config,
 
     ic::FabricConfig fabric_config = config_.fabric;
     fabric_config.numGpus = config_.numGpus;
-    fabric_ = ic::makeTopology(fabric_config);
+    fabric_ = std::make_unique<ic::Topology>(fabric_config);
 
     // The geometry is passed down by reference: config_ is a member
     // declared first (destroyed last), so the referent outlives every

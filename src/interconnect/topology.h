@@ -1,26 +1,26 @@
 /**
  * @file
- * The pluggable interconnect-topology interface.
+ * The interconnect: one fabric model, four topologies.
  *
  * Placement policies are only as credible as the fabric they are
- * evaluated on. The fabric is therefore a first-class model behind an
- * abstract Topology interface with four concrete implementations:
+ * evaluated on, so the fabric is a first-class model. The four
+ * selectable topologies differ only in which links exist and which of
+ * them a (src, dst) pair crosses:
  *
- *  - all-to-all (topology_all_to_all.h): per-GPU NVLink ports into a
- *    full mesh, the historical default;
- *  - ring (topology_ring.h): directed ring segments with multi-hop
- *    shortest-path routing;
- *  - switch (topology_switch.h): per-GPU ports into a shared electrical
- *    crossbar with output-port contention and a configurable radix;
- *  - chiplet (topology_chiplet.h): cheap intra-chiplet links, expensive
- *    cross-interposer bridges.
+ *  - all-to-all: per-GPU NVLink ports into a full mesh, the historical
+ *    default;
+ *  - ring: directed ring segments with multi-hop shortest-arc routing;
+ *  - switch: per-GPU ports into a shared electrical crossbar with
+ *    output-port contention and a configurable radix;
+ *  - chiplet: cheap intra-chiplet links, expensive cross-interposer
+ *    bridges.
  *
- * Every topology shares the host PCIe attachment, the control-message
- * virtual channel (latency-only, counted per message and per byte),
- * the chaos FaultInjector hooks (applied per hop on routed
- * topologies), and the TraceRecorder hooks. Per-link byte/busy-cycle
- * accounting is enumerable through linkStats() and exported into
- * grit-results documents as `fabric.*` counters (docs/TOPOLOGY.md,
+ * The constructor names a topology's links and route() lists the hops
+ * a transfer takes; everything else — the host PCIe attachment, the
+ * control-message virtual channel (latency-only, counted per message
+ * and per byte), the chaos FaultInjector hooks (applied per hop), the
+ * TraceRecorder hooks and the per-link byte/busy-cycle accounting
+ * exported as `fabric.*` counters — is written once (docs/TOPOLOGY.md,
  * docs/METRICS.md).
  */
 
@@ -28,7 +28,6 @@
 #define GRIT_INTERCONNECT_TOPOLOGY_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -110,29 +109,27 @@ struct LinkStat
 };
 
 /**
- * Abstract interconnect: moves bulk payloads and control messages
- * between GPUs (and the host) under some topology's routing and
- * contention model.
+ * The interconnect: moves bulk payloads and control messages between
+ * GPUs (and the host) over the links of the topology @p config selects.
  */
 class Topology
 {
   public:
     explicit Topology(const FabricConfig &config);
-    virtual ~Topology();
 
     Topology(const Topology &) = delete;
     Topology &operator=(const Topology &) = delete;
 
-    virtual TopologyKind kind() const = 0;
+    TopologyKind kind() const { return config_.kind; }
 
     /**
      * Move @p bytes from @p src to @p dst (either may be sim::kHostId).
-     * Occupies every link on the route; multi-hop topologies compose
-     * hop completions (store-and-forward).
+     * Occupies every link on the route, hop by hop and stage by stage
+     * (store-and-forward).
      * @return delivery completion time.
      */
-    virtual sim::Cycle transfer(sim::Cycle now, sim::GpuId src,
-                                sim::GpuId dst, std::uint64_t bytes) = 0;
+    sim::Cycle transfer(sim::Cycle now, sim::GpuId src, sim::GpuId dst,
+                        std::uint64_t bytes);
 
     /**
      * Control message (fault descriptor, invalidation, ack...). Control
@@ -143,18 +140,20 @@ class Topology
     sim::Cycle message(sim::Cycle now, sim::GpuId src, sim::GpuId dst,
                        std::uint64_t bytes = 64);
 
-    /** One-way latency between @p src and @p dst with no queuing. */
-    virtual sim::Cycle flightLatency(sim::GpuId src,
-                                     sim::GpuId dst) const = 0;
+    /**
+     * One-way latency between @p src and @p dst with no queuing: the
+     * latencies along the route transfer() takes.
+     */
+    sim::Cycle flightLatency(sim::GpuId src, sim::GpuId dst) const;
 
     unsigned numGpus() const { return config_.numGpus; }
 
     /**
-     * Total payload bytes moved over the GPU-side fabric. Routed
-     * topologies count every hop a payload occupies (ring), direct
-     * ones count the payload once (egress-side accounting).
+     * Total payload bytes moved over the GPU-side fabric, counted once
+     * per hop: a payload crossing k ring segments counts k times
+     * (occupancy, not goodput).
      */
-    virtual std::uint64_t nvlinkBytes() const = 0;
+    std::uint64_t nvlinkBytes() const { return nvlinkBytes_; }
 
     /** Total payload bytes moved over PCIe. */
     std::uint64_t pcieBytes() const;
@@ -166,9 +165,8 @@ class Topology
     std::uint64_t messageBytes() const { return messageBytes_; }
 
     /**
-     * Every link's accounting snapshot, PCIe included, in a
-     * deterministic topology-defined order (the `fabric.*` counter
-     * export).
+     * Every link's accounting snapshot, PCIe last, in construction
+     * order (the `fabric.*` counter export).
      */
     std::vector<LinkStat> linkStats() const;
 
@@ -188,7 +186,33 @@ class Topology
     static constexpr sim::Cycle kRetryBackoffCycles = 500;
     static constexpr unsigned kMaxLinkRetries = 8;
 
-  protected:
+  private:
+    static constexpr unsigned kNoLink = ~0u;
+
+    /**
+     * One store-and-forward stage: one or two links (indices into
+     * links_) entered at the same cycle; the slower one delivers.
+     */
+    struct Stage
+    {
+        unsigned first = kNoLink;
+        unsigned second = kNoLink;
+    };
+
+    /**
+     * One hop of a route, the unit the chaos injector and the trace
+     * see: up to three stages, each entered when the previous one
+     * delivered.
+     */
+    struct Hop
+    {
+        sim::GpuId to;
+        Stage stages[3];
+    };
+
+    /** The hop a payload at @p at bound for @p dst takes next. */
+    Hop route(sim::GpuId at, sim::GpuId dst) const;
+
     /**
      * Apply the chaos perturbations for one hop @p src → @p dst: a
      * flapped link stalls the transfer with bounded exponential
@@ -200,33 +224,20 @@ class Topology
     sim::Cycle chaosAdjust(sim::Cycle now, sim::GpuId src, sim::GpuId dst,
                            std::uint64_t &bytes);
 
-    /** Record one bulk-transfer trace event, if tracing. */
-    void traceTransfer(sim::Cycle now, sim::Cycle done, sim::GpuId src,
-                       sim::GpuId dst, std::uint64_t bytes);
-
-    /** Route a host-bound transfer over the shared PCIe link. */
-    sim::Cycle pcieTransfer(sim::Cycle now, sim::GpuId src,
-                            std::uint64_t bytes);
-
-    /** Topology hook: reset every GPU-side link. */
-    virtual void resetLinks() = 0;
-
-    /** Topology hook: GPU-side links for the linkStats() enumeration. */
-    virtual void collectLinks(std::vector<const Link *> &out) const = 0;
-
     const FabricConfig config_;
-    Link pcieUp_;    //!< GPU -> host
-    Link pcieDown_;  //!< host -> GPU
+    /**
+     * Every link: GPU g's first link at index g, its second (if the
+     * topology gives it one) at numGpus + g, then the bridges or switch
+     * ports, then pcie.up and pcie.down.
+     */
+    std::vector<Link> links_;
+    unsigned pcieUp_ = 0;  //!< index of pcie.up; pcie.down follows it
     sim::TraceRecorder *trace_ = nullptr;
     sim::FaultInjector *injector_ = nullptr;
-
-  private:
+    std::uint64_t nvlinkBytes_ = 0;
     std::uint64_t messages_ = 0;
     std::uint64_t messageBytes_ = 0;
 };
-
-/** Construct the topology selected by @p config.kind. */
-std::unique_ptr<Topology> makeTopology(const FabricConfig &config);
 
 }  // namespace grit::ic
 

@@ -1,13 +1,9 @@
-/** @file Unit tests for links and the pluggable fabric topologies. */
+/** @file Unit tests for links and the four fabric topologies. */
 
 #include <gtest/gtest.h>
 
 #include "interconnect/link.h"
 #include "interconnect/topology.h"
-#include "interconnect/topology_all_to_all.h"
-#include "interconnect/topology_chiplet.h"
-#include "interconnect/topology_ring.h"
-#include "interconnect/topology_switch.h"
 
 namespace grit::ic {
 namespace {
@@ -46,11 +42,10 @@ TEST(Factory, BuildsEveryKind)
     config.numGpus = 4;
     for (TopologyKind kind : kAllTopologyKinds) {
         config.kind = kind;
-        auto fabric = makeTopology(config);
-        ASSERT_NE(fabric, nullptr);
-        EXPECT_EQ(fabric->kind(), kind);
-        EXPECT_EQ(fabric->numGpus(), 4u);
-        EXPECT_STREQ(topologyKindName(fabric->kind()),
+        Topology fabric(config);
+        EXPECT_EQ(fabric.kind(), kind);
+        EXPECT_EQ(fabric.numGpus(), 4u);
+        EXPECT_STREQ(topologyKindName(fabric.kind()),
                      topologyKindName(kind));
     }
     EXPECT_EQ(topologyKindFromName("Ring"), TopologyKind::kRing);
@@ -61,7 +56,7 @@ TEST(AllToAll, GpuToGpuUsesNvlinkLatency)
 {
     FabricConfig config;
     config.numGpus = 4;
-    AllToAllTopology fabric(config);
+    Topology fabric(config);
     const sim::Cycle done = fabric.transfer(0, 0, 1, 4096);
     // 14 cycles serialization + 700 NVLink latency.
     EXPECT_EQ(done, 714u);
@@ -72,7 +67,7 @@ TEST(AllToAll, HostTransfersUsePcie)
 {
     FabricConfig config;
     config.numGpus = 2;
-    AllToAllTopology fabric(config);
+    Topology fabric(config);
     EXPECT_EQ(fabric.transfer(0, sim::kHostId, 0, 4096), 1128u);
     EXPECT_EQ(fabric.transfer(0, 0, sim::kHostId, 4096), 1128u);
     EXPECT_EQ(fabric.flightLatency(sim::kHostId, 1), 1000u);
@@ -83,7 +78,7 @@ TEST(AllToAll, MessagesAreLatencyOnly)
 {
     FabricConfig config;
     config.numGpus = 2;
-    AllToAllTopology fabric(config);
+    Topology fabric(config);
     // Control messages never queue behind bulk DMAs.
     fabric.transfer(0, 0, 1, 1 << 20);  // big DMA
     EXPECT_EQ(fabric.message(0, 0, 1), 700u);
@@ -95,7 +90,7 @@ TEST(AllToAll, MessageByteAccounting)
 {
     FabricConfig config;
     config.numGpus = 2;
-    AllToAllTopology fabric(config);
+    Topology fabric(config);
     // Default control packet is 64 bytes; explicit sizes accumulate.
     fabric.message(0, 0, 1);
     fabric.message(0, 1, 0, 32);
@@ -107,7 +102,7 @@ TEST(AllToAll, NvlinkByteAccounting)
 {
     FabricConfig config;
     config.numGpus = 2;
-    AllToAllTopology fabric(config);
+    Topology fabric(config);
     fabric.transfer(0, 0, 1, 1000);
     EXPECT_EQ(fabric.nvlinkBytes(), 1000u);  // egress side accounting
 }
@@ -116,7 +111,7 @@ TEST(AllToAll, ResetClearsOccupancyAndMessages)
 {
     FabricConfig config;
     config.numGpus = 2;
-    AllToAllTopology fabric(config);
+    Topology fabric(config);
     fabric.transfer(0, 0, 1, 1 << 20);
     fabric.message(0, 0, 1);
     fabric.reset();
@@ -130,7 +125,7 @@ TEST(AllToAll, LinkStatsEnumeratesPorts)
 {
     FabricConfig config;
     config.numGpus = 2;
-    AllToAllTopology fabric(config);
+    Topology fabric(config);
     fabric.transfer(0, 0, 1, 1000);
     const auto stats = fabric.linkStats();
     // 2 GPUs x (out + in) + pcie.up + pcie.down.
@@ -153,7 +148,7 @@ TEST(Ring, MultiHopComposesSerializationAndLatency)
     FabricConfig config;
     config.kind = TopologyKind::kRing;
     config.numGpus = 4;
-    RingTopology fabric(config);
+    Topology fabric(config);
     // Two hops, store-and-forward: each is 14 cy serialization + 700
     // latency, and the second starts only when the first delivered.
     EXPECT_EQ(fabric.transfer(0, 0, 2, 4096), 1428u);
@@ -167,7 +162,7 @@ TEST(Ring, RoutesTheShorterArc)
     FabricConfig config;
     config.kind = TopologyKind::kRing;
     config.numGpus = 4;
-    RingTopology fabric(config);
+    Topology fabric(config);
     // 0 -> 3 is one counter-clockwise hop, not three clockwise ones.
     EXPECT_EQ(fabric.transfer(0, 0, 3, 4096), 714u);
     EXPECT_EQ(fabric.flightLatency(0, 3), 700u);
@@ -186,7 +181,7 @@ TEST(Ring, HostTrafficBypassesTheRing)
     FabricConfig config;
     config.kind = TopologyKind::kRing;
     config.numGpus = 4;
-    RingTopology fabric(config);
+    Topology fabric(config);
     EXPECT_EQ(fabric.transfer(0, sim::kHostId, 2, 4096), 1128u);
     EXPECT_EQ(fabric.nvlinkBytes(), 0u);
     EXPECT_EQ(fabric.pcieBytes(), 4096u);
@@ -197,7 +192,7 @@ TEST(Switch, TwoHopFlight)
     FabricConfig config;
     config.kind = TopologyKind::kSwitch;
     config.numGpus = 4;
-    SwitchTopology fabric(config);
+    Topology fabric(config);
     // Egress (14 + 700), then the crossbar port (14 + 100).
     EXPECT_EQ(fabric.transfer(0, 0, 2, 4096), 828u);
     EXPECT_EQ(fabric.flightLatency(0, 2), 800u);
@@ -208,7 +203,7 @@ TEST(Switch, OutputPortContentionSerializes)
     FabricConfig config;
     config.kind = TopologyKind::kSwitch;
     config.numGpus = 4;
-    SwitchTopology fabric(config);
+    Topology fabric(config);
     // Two senders target GPU 2 at the same cycle. Their egress ports
     // are independent (both deliver into the switch at 714), but GPU
     // 2's single-channel output port serializes the payloads.
@@ -222,7 +217,7 @@ TEST(Switch, RadixFoldsPorts)
     config.kind = TopologyKind::kSwitch;
     config.numGpus = 4;
     config.switchRadix = 2;  // GPUs 0/2 and 1/3 share output ports
-    SwitchTopology fabric(config);
+    Topology fabric(config);
     // Different destinations, same port (0 and 2 both map to port 0):
     // the second transfer still queues.
     EXPECT_EQ(fabric.transfer(0, 1, 0, 4096), 828u);
@@ -234,7 +229,7 @@ TEST(Chiplet, LocalRemoteAsymmetry)
     FabricConfig config;
     config.kind = TopologyKind::kChiplet;
     config.numGpus = 4;
-    ChipletTopology fabric(config);
+    Topology fabric(config);
     // Intra-chiplet (0 -> 1): wide parallel ports, 7 + 200.
     const sim::Cycle local = fabric.transfer(0, 0, 1, 4096);
     EXPECT_EQ(local, 207u);
@@ -252,7 +247,7 @@ TEST(Chiplet, BridgeCountsOnlyCrossTraffic)
     FabricConfig config;
     config.kind = TopologyKind::kChiplet;
     config.numGpus = 4;
-    ChipletTopology fabric(config);
+    Topology fabric(config);
     fabric.transfer(0, 0, 1, 1000);  // local
     fabric.transfer(0, 0, 2, 2000);  // crosses chiplet0's bridge
     for (const LinkStat &link : fabric.linkStats()) {
@@ -279,8 +274,8 @@ TEST_P(TopologyPairs, MonotoneInSize)
     const auto [src, dst] = std::get<1>(GetParam());
     sim::Cycle prev = 0;
     for (std::uint64_t bytes : {64ull, 4096ull, 65536ull}) {
-        auto fabric = makeTopology(config);
-        const sim::Cycle t = fabric->transfer(0, src, dst, bytes);
+        Topology fabric(config);
+        const sim::Cycle t = fabric.transfer(0, src, dst, bytes);
         EXPECT_GE(t, prev);
         prev = t;
     }
@@ -294,9 +289,8 @@ TEST_P(TopologyPairs, UncontendedTransferTakesTheFlightLatency)
     config.numGpus = 4;
     config.kind = std::get<0>(GetParam());
     const auto [src, dst] = std::get<1>(GetParam());
-    auto fabric = makeTopology(config);
-    EXPECT_EQ(fabric->transfer(0, src, dst, 0),
-              fabric->flightLatency(src, dst));
+    Topology fabric(config);
+    EXPECT_EQ(fabric.transfer(0, src, dst, 0), fabric.flightLatency(src, dst));
 }
 
 INSTANTIATE_TEST_SUITE_P(

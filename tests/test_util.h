@@ -37,7 +37,7 @@ class MiniSystem
     {
         ic::FabricConfig fabric_config;
         fabric_config.numGpus = num_gpus;
-        fabric = ic::makeTopology(fabric_config);
+        fabric = std::make_unique<ic::Topology>(fabric_config);
 
         gpu::GpuConfig gpu_config;
         gpu_config.lanes = 4;  // keep L1 TLB count small
