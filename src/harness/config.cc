@@ -146,11 +146,6 @@ SystemConfig::validate() const
     if (wallDeadlineSec < 0.0 || wallDeadlineSec != wallDeadlineSec)
         bad("the wall-clock deadline cannot be negative or NaN",
             "wallDeadlineSec");
-    if (eventBudget != 0 && maxEvents != 0 && eventBudget > maxEvents)
-        bad("the per-run event budget (" + std::to_string(eventBudget) +
-                ") exceeds the global event limit (" +
-                std::to_string(maxEvents) + ")",
-            "eventBudget");
 
     return out;
 }

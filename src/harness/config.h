@@ -87,9 +87,6 @@ struct SystemConfig
     bool prefetch = false;
     baselines::PrefetcherConfig prefetcher{};
 
-    /** Safety valve on total simulation events (0 = derived). */
-    std::uint64_t maxEvents = 0;
-
     /**
      * Run a lane's next access inline inside its predecessor's event
      * whenever no other pending event could interleave (strictly

@@ -127,7 +127,9 @@ configDigest(const SystemConfig &config)
     d.word(config.memoryFraction);
     d.text(policyKindName(config.policy));
     d.word(config.prefetch);
-    d.word(config.maxEvents);
+    // Once the event-limit override (always 0); hashed still so
+    // existing journals and stores keep their fingerprints.
+    d.word(std::uint64_t{0});
     // Redundant with the interval, but part of every persisted
     // fingerprint: dropping it would orphan existing journals and stores.
     d.word(config.timelineIntervalCycles > 0);

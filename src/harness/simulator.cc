@@ -487,10 +487,7 @@ Simulator::run(bool salvage_partial)
                         [this] { runAudit(); }, "audit");
     }
 
-    std::uint64_t limit = config_.maxEvents;
-    if (limit == 0) {
-        limit = 16 * (totalAccesses_ + 1024);
-    }
+    std::uint64_t limit = 16 * (totalAccesses_ + 1024);
     bool budget_binding = false;
     if (config_.eventBudget != 0 && config_.eventBudget < limit) {
         limit = config_.eventBudget;

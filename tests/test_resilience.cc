@@ -149,6 +149,16 @@ TEST(RunFingerprint, DigestIgnoresResilienceKnobsOnly)
     EXPECT_NE(digest, configDigest(chaos));
 }
 
+TEST(RunFingerprint, DefaultDigestsArePinned)
+{
+    // Journals and result stores persist these digests: a change to
+    // what configDigest hashes orphans every one of them.
+    EXPECT_EQ(configDigest(makeConfig(PolicyKind::kGrit, 4)),
+              0xb4a6cde5b7f7b486ull);
+    EXPECT_EQ(configDigest(makeConfig(PolicyKind::kOnTouch, 4)),
+              0xa3b7fa353350b39bull);
+}
+
 TEST(RunFingerprint, CoversWorkloadIdentityAndParams)
 {
     const RunPlan plan = smallPlan();
