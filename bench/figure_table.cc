@@ -8,7 +8,6 @@
 #include <iostream>
 #include <memory>
 
-#include "baselines/transfw.h"
 #include "figures.h"
 #include "harness/table.h"
 #include "mem/pte.h"
@@ -397,9 +396,7 @@ buildTable()
          .heading = "Figure 28: Griffin-DPC + Trans-FW comparison "
                     "(speedup over the combination)",
          .configs = {policy(kGriffinDpc, "dpc+transfw",
-                            [](SystemConfig &c) {
-                                baselines::applyTransFw(c.uvm);
-                            }),
+                            [](SystemConfig &c) { c.uvm.transFw = true; }),
                      policy(kGrit)},
          .baseline = "dpc+transfw",
          .claims = {{"GRIT vs Griffin-DPC+Trans-FW (paper: +18 %)",

@@ -62,7 +62,12 @@ struct UvmConfig
     sim::Cycle drainCyclesAcud = 150;
     /** Enable ACUD (Section VI-C1). */
     bool acud = false;
-    /** Enable Trans-FW remote translation forwarding (Section VI-C3). */
+    /**
+     * Enable Trans-FW remote translation forwarding (Li et al., HPCA
+     * 2023; Section VI-C3): non-cold faults that resolve to a remote
+     * mapping take an NVLink request/response to the owner GPU plus
+     * transFwCycles instead of a round trip through the host driver.
+     */
     bool transFw = false;
     /** Remote-GPU translation service time under Trans-FW. */
     sim::Cycle transFwCycles = 250;

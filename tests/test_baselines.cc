@@ -1,5 +1,5 @@
 /** @file Unit tests for the comparison baselines: Griffin-DPC, GPS,
- *  Trans-FW helpers, and the tree-based neighborhood prefetcher. */
+ *  and the tree-based neighborhood prefetcher. */
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "baselines/gps.h"
 #include "baselines/griffin.h"
-#include "baselines/transfw.h"
 #include "baselines/tree_prefetcher.h"
 #include "policy/on_touch.h"
 #include "test_util.h"
@@ -123,28 +122,6 @@ TEST(Gps, ReadsAndUnsharedWritesAreFree)
     EXPECT_EQ(gps->onAccess(0, 10, false, false, 100), 0u);  // read
     EXPECT_EQ(gps->onAccess(0, 10, true, false, 200), 0u);   // no replicas
     EXPECT_EQ(gps->broadcasts(), 0u);
-}
-
-// ------------------------------------------------------------------- TransFW
-
-TEST(TransFw, ConfigHelpers)
-{
-    uvm::UvmConfig config;
-    EXPECT_FALSE(config.transFw);
-    EXPECT_FALSE(config.acud);
-    applyTransFw(config);
-    applyAcud(config);
-    EXPECT_TRUE(config.transFw);
-    EXPECT_TRUE(config.acud);
-}
-
-TEST(TransFw, ForwardCounterReadsDriverStats)
-{
-    MiniSystem sys(2);
-    sys.usePolicy(std::make_unique<policy::OnTouchPolicy>());
-    EXPECT_EQ(transFwForwards(*sys.driver), 0u);
-    sys.stats.counter("uvm.transfw_forwards").inc(3);
-    EXPECT_EQ(transFwForwards(*sys.driver), 3u);
 }
 
 // ----------------------------------------------------------- TreePrefetcher
