@@ -127,7 +127,7 @@ configDigest(const SystemConfig &config)
     d.word(config.memoryFraction);
     d.text(policyKindName(config.policy));
     d.word(config.prefetch);
-    // Once the event-limit override (always 0); hashed still so
+    // A retired event-limit field that was always 0, still hashed so
     // existing journals and stores keep their fingerprints.
     d.word(std::uint64_t{0});
     // Redundant with the interval, but part of every persisted
